@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
@@ -55,18 +54,13 @@ func run() (err error) {
 		seed   = flag.Uint64("seed", 1, "random seed")
 		only   = flag.String("only", "", "comma-separated subset (fig3,fig4,fig5,fig6,fig7,fig8,fig9,fig10,eq36,tree,mcache,resource,allocator,loss,peerwise,reps)")
 		reps   = flag.Int("reps", 5, "seeds for the replication table (reps experiment)")
-		shards = flag.Int("shards", 1, "world shards for parallel control (1 = legacy engine, 0 = one per core)")
+		shards = flag.Int("shards", 0, "world shards for parallel control in the day run (0 = one per core; results are identical for every value)")
 
 		tracker        = flag.Bool("tracker", false, "run the tracker load harness instead of the simulator experiments")
 		trackerDur     = flag.Duration("trackerdur", 2*time.Second, "tracker: measurement window per mode")
 		trackerPeers   = flag.Int("trackerpeers", 5000, "tracker: preloaded registrations")
 		trackerClients = flag.Int("trackerclients", 8, "tracker: concurrent load workers")
 		trackerJSON    = flag.String("trackerjson", "", "tracker: write results to this JSON file (default stdout)")
-
-		netplane      = flag.Bool("netplane", false, "run the data-plane saturation harness (legacy vs batched) instead of the simulator experiments")
-		netplaneDur   = flag.Duration("netplanedur", 3*time.Second, "netplane: measured window per plane")
-		netplanePeers = flag.Int("netplanepeers", 8, "netplane: full-stream children on the source")
-		netplaneJSON  = flag.String("netplanejson", "", "netplane: write results to this JSON file (default stdout)")
 
 		tickab       = flag.Bool("tickab", false, "run the interleaved tick A/B harness (shard-count variants in alternating windows) instead of the simulator experiments")
 		count        = flag.Int("count", 5, "tickab: interleaved measurement rounds per variant (median/spread over rounds)")
@@ -89,9 +83,6 @@ func run() (err error) {
 	}()
 	if *tracker {
 		return trackerBench(*trackerDur, *trackerPeers, *trackerClients, *trackerJSON)
-	}
-	if *netplane {
-		return netplaneBench(*netplaneDur, *netplanePeers, *netplaneJSON)
 	}
 	if *tickab {
 		return tickabBench(*tickabPeers, *tickabShards, *count, *tickabTicks, *tickabJSON)
@@ -116,16 +107,12 @@ func run() (err error) {
 	var dayRes *core.Result
 	needDay := sel("fig3") || sel("fig4") || sel("fig5") || sel("fig6") ||
 		sel("fig7") || sel("fig8") || sel("fig9") || sel("fig10")
-	nShards := *shards
-	if nShards == 0 {
-		nShards = runtime.GOMAXPROCS(0)
-	}
 	if needDay {
 		cfg := core.DayConfig(spec.day, spec.dayRate, *seed)
 		cfg.Servers = spec.servers
 		cfg.Params.ReportPeriod = scaledReport(spec.day)
 		cfg.SnapshotPeriod = spec.day / 24
-		cfg.Shards = nShards
+		cfg.Shards = *shards
 		start := time.Now()
 		var err error
 		dayRes, err = core.Run(cfg)
@@ -136,9 +123,7 @@ func run() (err error) {
 			spec.day.Duration(), time.Since(start).Round(time.Millisecond),
 			dayRes.JoinedSessions, dayRes.PeakConcurrent)
 		render(dayRes.Summary())
-		if nShards > 1 {
-			renderShardTables(dayRes, render)
-		}
+		renderShardTables(dayRes, render)
 	}
 	bucket := spec.day / 144 // ~10-minute-equivalent buckets
 
@@ -326,7 +311,7 @@ func className(c int) string {
 	return [...]string{"direct", "upnp", "nat", "firewall"}[c]
 }
 
-// renderShardTables prints the sharded engine's load split: wall time
+// renderShardTables prints the engine's load split: wall time
 // per tick phase (the merge row is the determinism barrier — effect
 // drain plus record-lane flush) and the per-shard control-plane
 // imbalance (visits, in-visit wall time, BM refreshes, emitted
@@ -334,7 +319,7 @@ func className(c int) string {
 func renderShardTables(res *core.Result, render func(*metrics.Table)) {
 	ph := res.PhaseStats
 	tp := &metrics.Table{
-		Title:  "sharded engine — wall time per phase",
+		Title:  "engine — wall time per phase",
 		Header: []string{"phase", "total_ms"},
 	}
 	tp.AddRowf("allocate\t%.1f", float64(ph.Allocate)/1e6)
@@ -346,7 +331,7 @@ func renderShardTables(res *core.Result, render func(*metrics.Table)) {
 	render(tp)
 
 	ts := &metrics.Table{
-		Title:  "sharded engine — per-shard control load",
+		Title:  "engine — per-shard control load",
 		Header: []string{"shard", "active_peers", "visits", "control_ms", "bm_refreshes", "effects"},
 	}
 	for _, s := range res.ShardStats {

@@ -86,8 +86,8 @@ func run() error {
 		recovery = flag.Duration("recovery", 4*time.Second, "chaos: recovery window after the faults")
 		seed     = flag.Uint64("seed", 1, "chaos/surge: scenario seed")
 
-		satWindow = flag.Duration("satwindow", 3*time.Second, "saturate: measured window per plane")
-		satSweep  = flag.Int("satsweep", 0, "saturate: sweep peer count up to this cap (0 = fixed -peers comparison)")
+		satWindow = flag.Duration("satwindow", 3*time.Second, "saturate: measured window")
+		satSweep  = flag.Int("satsweep", 0, "saturate: sweep peer count up to this cap (0 = one run at -peers)")
 
 		surgeWarm    = flag.Int("surgewarm", 0, "surge: established peers before the storm (0 = default 3)")
 		surgeJoiners = flag.Int("surgejoiners", 0, "surge: joiner burst size (0 = default 4x warm)")
@@ -310,14 +310,13 @@ func runSurge(warm, joiners int, seed uint64, jsonPath string) error {
 	return nil
 }
 
-// runSaturate measures the live data plane: the same star overlay on
-// the legacy (one-write-per-frame, full-BM) plane and on the batched
-// plane, reporting write syscalls and bytes per delivered block and BM
-// signalling bytes per peer. With -satsweep N it instead doubles the
-// peer count per plane until continuity collapses, reporting the
-// sustainable population.
+// runSaturate measures the live data plane on a star overlay: write
+// syscalls and bytes per delivered block, BM signalling bytes per peer
+// and delivered continuity. With -satsweep N it instead doubles the
+// peer count until continuity collapses, reporting the sustainable
+// population.
 func runSaturate(peers int, window time.Duration, sweepMax int) error {
-	base := netsat.Config{
+	cfg := netsat.Config{
 		Peers:    peers,
 		Duration: window,
 		Logf: func(format string, args ...any) {
@@ -325,51 +324,28 @@ func runSaturate(peers int, window time.Duration, sweepMax int) error {
 		},
 	}
 	if sweepMax > 0 {
-		for _, legacy := range []bool{true, false} {
-			cfg := base
-			cfg.Legacy = legacy
-			reps, sustainable, err := netsat.Sweep(cfg, peers, sweepMax, 0.9)
-			if err != nil {
-				return err
-			}
-			last := reps[len(reps)-1]
-			fmt.Printf("saturate: legacy=%v sustainable peers %d (last run: %d peers, min CI %.3f)\n",
-				legacy, sustainable, last.Peers, last.MinContinuity)
+		reps, sustainable, err := netsat.Sweep(cfg, peers, sweepMax, 0.9)
+		if err != nil {
+			return err
 		}
+		last := reps[len(reps)-1]
+		fmt.Printf("saturate: sustainable peers %d (last run: %d peers, min CI %.3f)\n",
+			sustainable, last.Peers, last.MinContinuity)
 		return nil
 	}
-	legacyCfg := base
-	legacyCfg.Legacy = true
-	legacyRep, err := netsat.Run(legacyCfg)
+	rep, err := netsat.Run(cfg)
 	if err != nil {
 		return err
 	}
-	batchedRep, err := netsat.Run(base)
-	if err != nil {
-		return err
-	}
-	printSaturate(legacyRep, batchedRep)
+	fmt.Printf("\n%-22s %14d\n", "delivered blocks", rep.Delivered)
+	fmt.Printf("%-22s %14d\n", "write syscalls", rep.WriteCalls)
+	fmt.Printf("%-22s %14.3f\n", "writes / block", rep.WritesPerBlock)
+	fmt.Printf("%-22s %14.1f\n", "bytes / block", rep.BytesPerBlock)
+	fmt.Printf("%-22s %14.0f\n", "BM bytes / peer / s", rep.BMBytesPerPeerSec)
+	fmt.Printf("%-22s %14.3f\n", "min continuity", rep.MinContinuity)
+	fmt.Printf("%-22s %14.3f\n", "mean continuity", rep.MeanContinuity)
+	fmt.Printf("%-22s %14d\n\n", "fan-out shared frames", rep.FanShared)
 	return nil
-}
-
-func printSaturate(legacy, batched netsat.Report) {
-	fmt.Printf("\n%-22s %14s %14s %8s\n", "metric", "legacy", "batched", "ratio")
-	row := func(name string, l, b float64, format string) {
-		ratio := 0.0
-		if b > 0 {
-			ratio = l / b
-		}
-		fmt.Printf("%-22s %14s %14s %7.2fx\n", name,
-			fmt.Sprintf(format, l), fmt.Sprintf(format, b), ratio)
-	}
-	row("delivered blocks", float64(legacy.Delivered), float64(batched.Delivered), "%.0f")
-	row("write syscalls", float64(legacy.WriteCalls), float64(batched.WriteCalls), "%.0f")
-	row("writes / block", legacy.WritesPerBlock, batched.WritesPerBlock, "%.3f")
-	row("bytes / block", legacy.BytesPerBlock, batched.BytesPerBlock, "%.1f")
-	row("BM bytes / peer / s", legacy.BMBytesPerPeerSec, batched.BMBytesPerPeerSec, "%.0f")
-	fmt.Printf("%-22s %14.3f %14.3f\n", "min continuity", legacy.MinContinuity, batched.MinContinuity)
-	fmt.Printf("%-22s %14.3f %14.3f\n", "mean continuity", legacy.MeanContinuity, batched.MeanContinuity)
-	fmt.Printf("%-22s %14s %14d\n\n", "fan-out shared frames", "-", batched.FanShared)
 }
 
 // newBootClient builds a tracker client from the -bootstrap URL: the

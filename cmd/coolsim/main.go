@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"coolstream/internal/core"
@@ -56,8 +55,7 @@ func run() (err error) {
 		saveScen = flag.String("save-scenario", "", "save the run's materialised scenario to this file")
 		quiet    = flag.Bool("q", false, "suppress figure tables on stdout")
 		digest   = flag.Bool("digest", false, "print the run digest (reproducibility check)")
-		shards   = flag.Int("shards", 1, "world shards for parallel control (1 = legacy engine, 0 = one per core)")
-		deferCtl = flag.Bool("defer-control", false, "force the deferred-effect control serialization at one shard (A/B hook: digest must equal any -shards N run)")
+		shards   = flag.Int("shards", 0, "world shards for parallel control (0 = one per core; results are identical for every value)")
 	)
 	var prof profiling.Flags
 	prof.Register(flag.CommandLine)
@@ -92,10 +90,6 @@ func run() (err error) {
 	cfg.Params.ControlLossProb = *loss
 	cfg.CrashProb = *crash
 	cfg.Shards = *shards
-	if cfg.Shards == 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	cfg.DeferControl = *deferCtl
 	// Phase labels only pay off when a CPU profile is actually being
 	// captured; auto-enable them with -cpuprofile so `go tool pprof
 	// -tagfocus phase=...` works out of the box.

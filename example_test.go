@@ -23,8 +23,8 @@ func Example() {
 	sub, ready, _ := res.Analysis.StartupDelays()
 	fmt.Printf("subscription faster than ready: %v\n", sub.Median() < ready.Median())
 	// Output:
-	// sessions joined: 41
-	// sessions ready: 34
+	// sessions joined: 40
+	// sessions ready: 33
 	// continuity above 0.9: true
 	// subscription faster than ready: true
 }

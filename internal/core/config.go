@@ -70,23 +70,11 @@ type Config struct {
 	// LogBufferCap bounds the client-side report buffer used during
 	// log-server outage windows (0 selects logsys.DefaultLogBuffer).
 	LogBufferCap int
-	// DisableControlWheel restores the legacy O(population) per-tick
-	// control sweep instead of the due-driven wheel scheduler — the A/B
-	// switch for determinism property tests and scaling comparisons.
-	// Both modes are bit-identical; the wheel is just faster.
-	DisableControlWheel bool
-	// Shards partitions the world into per-core shards with parallel,
-	// deferred-effect control (DESIGN.md §11). 0 and 1 select the
-	// single-shard legacy engine; 0 additionally lets tools map it to
-	// GOMAXPROCS before building the Config. Shards > 1 requires the
-	// control wheel (incompatible with DisableControlWheel). Results
-	// are identical for every Shards ≥ 2 at any GOMAXPROCS, but are a
-	// different (equally valid) serialization than the sequential
-	// engine's.
+	// Shards partitions the world into that many shards, whose control
+	// visits run in parallel (DESIGN.md §11); 0 means one per core
+	// (runtime.GOMAXPROCS). It is a performance setting only: results
+	// are identical for every value at any GOMAXPROCS.
 	Shards int
-	// DeferControl forces the deferred-effect serialization at one
-	// shard — the A/B hook pinning Shards=1 ≡ Shards=N.
-	DeferControl bool
 	// LabelPhases tags every tick-phase worker with a runtime/pprof
 	// label (phase=allocate/advance/playback/control/drain/merge) so a
 	// CPU profile captured alongside the run splits by phase. Costs a
@@ -138,9 +126,6 @@ func (c Config) Validate() error {
 	}
 	if c.Shards < 0 {
 		return fmt.Errorf("core: Shards %d", c.Shards)
-	}
-	if c.Shards > 1 && c.DisableControlWheel {
-		return fmt.Errorf("core: Shards %d requires the control wheel (DisableControlWheel is set)", c.Shards)
 	}
 	if c.PresetScenario != nil {
 		if c.PresetScenario.Horizon <= 0 {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"runtime"
 
 	"coolstream/internal/faults"
 	"coolstream/internal/logsys"
@@ -37,8 +38,7 @@ type Result struct {
 	// FaultStats counts fault firings when a fault plan was configured.
 	FaultStats faults.Stats
 	// ShardStats and PhaseStats carry the per-shard control-plane load
-	// and the per-phase wall-time split. Populated only for sharded runs
-	// (Config.Shards > 1), where phase metering is always on.
+	// and the per-phase wall-time split (phase metering is always on).
 	ShardStats []peer.ShardStat
 	PhaseStats peer.PhaseNanos
 	// DroppedLogs counts reports lost to log-buffer overflow during
@@ -113,14 +113,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	world.Faults = schedule
 	world.Retry = cfg.Retry
-	world.FullSweepControl = cfg.DisableControlWheel
-	if cfg.Shards > 1 {
-		if err := world.SetShards(cfg.Shards); err != nil {
-			return nil, err
-		}
-		world.MeterPhases(true)
+	shards := cfg.Shards
+	if shards == 0 {
+		shards = runtime.GOMAXPROCS(0)
 	}
-	world.ForceDeferredControl = cfg.DeferControl
+	if err := world.SetShards(shards); err != nil {
+		return nil, err
+	}
+	world.MeterPhases(true)
 	world.LabelPhases(cfg.LabelPhases)
 	if cfg.StallContinuity > 0 {
 		world.StallContinuity = cfg.StallContinuity
@@ -187,9 +187,7 @@ func Run(cfg Config) (*Result, error) {
 	res.ReadySessions = world.ReadySessions
 	res.AbandonSessions = world.AbandonSessions
 	res.Adaptations = world.Adaptations
-	if cfg.Shards > 1 {
-		res.ShardStats = world.ShardStats()
-		res.PhaseStats = world.PhaseStats()
-	}
+	res.ShardStats = world.ShardStats()
+	res.PhaseStats = world.PhaseStats()
 	return res, nil
 }

@@ -123,6 +123,9 @@ func TestExistingPartnerExemptFromCap(t *testing.T) {
 	if _, err := p.Connect(addr); err != nil {
 		t.Fatal(err)
 	}
+	// Connect returns on the accept frame, which the target sends just
+	// before it registers the partnership.
+	waitFor(t, 2*time.Second, func() bool { return len(target.Partners()) == 1 }, "first partnership never registered")
 	// Same peer redials (a reconnect after a perceived failure).
 	if _, err := p.Connect(addr); err != nil {
 		t.Fatalf("reconnect refused by the cap: %v", err)

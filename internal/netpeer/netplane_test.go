@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"coolstream/internal/buffer"
 	"coolstream/internal/protocol"
 )
 
@@ -125,7 +126,9 @@ func TestSlowPartnerOverflowTearsDown(t *testing.T) {
 }
 
 // failSwitchConn fails every write once armed — a partner whose socket
-// went one-way dead after the handshake.
+// went one-way dead after the handshake. While armed, Close is
+// swallowed too: the read side stays silently open, so the readLoop
+// never notices and only the BM loop can tear the partnership down.
 type failSwitchConn struct {
 	net.Conn
 	mu   sync.Mutex
@@ -138,19 +141,31 @@ func (c *failSwitchConn) arm() {
 	c.mu.Unlock()
 }
 
-func (c *failSwitchConn) Write(p []byte) (int, error) {
+func (c *failSwitchConn) armed() bool {
 	c.mu.Lock()
-	fail := c.fail
-	c.mu.Unlock()
-	if fail {
+	defer c.mu.Unlock()
+	return c.fail
+}
+
+func (c *failSwitchConn) Write(p []byte) (int, error) {
+	if c.armed() {
 		return 0, errors.New("failSwitchConn: armed")
 	}
 	return c.Conn.Write(p)
 }
 
-// TestBMSendFailureTearsDownPartner checks the bmLoop satellite fix:
-// persistent BM send failures tear the partnership down through the
-// maintenance path instead of being silently ignored forever.
+func (c *failSwitchConn) Close() error {
+	if c.armed() {
+		return nil
+	}
+	return c.Conn.Close()
+}
+
+// TestBMSendFailureTearsDownPartner checks the bmLoop teardown: the
+// injected write failure retires the batched writer, every later BM
+// enqueue fails fast on the dead queue, and after bmFailLimit of them
+// the BM loop drops the partnership instead of failing silently
+// forever.
 func TestBMSendFailureTearsDownPartner(t *testing.T) {
 	srv := mustNode(t, testConfig(2, 0))
 	addr := mustListen(t, srv)
@@ -158,9 +173,6 @@ func TestBMSendFailureTearsDownPartner(t *testing.T) {
 	var fsc *failSwitchConn
 	cfg := testConfig(1, 0)
 	cfg.BMPeriod = 30 * time.Millisecond
-	// Legacy plane: sends hit the conn synchronously, so the injected
-	// write failures surface directly to the BM loop.
-	cfg.LegacyPlane = true
 	cfg.Dialer = func(network, address string, timeout time.Duration) (net.Conn, error) {
 		c, err := net.DialTimeout(network, address, timeout)
 		if err != nil {
@@ -177,6 +189,9 @@ func TestBMSendFailureTearsDownPartner(t *testing.T) {
 	if len(n.Partners()) != 1 {
 		t.Fatal("no partnership established")
 	}
+	// Runs before n.Close (cleanups are LIFO): really close the socket
+	// so the parked readLoop exits and Close can join it.
+	t.Cleanup(func() { fsc.Conn.Close() })
 	fsc.arm()
 	waitFor(t, 3*time.Second, func() bool {
 		return len(n.Partners()) == 0
@@ -184,6 +199,27 @@ func TestBMSendFailureTearsDownPartner(t *testing.T) {
 	if got := n.Recovery().BMFailTeardowns; got < 1 {
 		t.Fatalf("BMFailTeardowns = %d, want >= 1", got)
 	}
+}
+
+// rawPartner dials addr and performs the partner handshake by hand as
+// node `from`, returning the socket for the test to speak raw frames
+// on; it is closed with the test.
+func rawPartner(t *testing.T, addr string, from int32) net.Conn {
+	t.Helper()
+	c, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := protocol.WriteFrame(c, protocol.Message{
+		Type: protocol.TypePartnerRequest, From: from, To: -1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := protocol.ReadFrame(c); err != nil || resp.Type != protocol.TypePartnerAccept {
+		t.Fatalf("handshake: %v %v", resp.Type, err)
+	}
+	return c
 }
 
 // TestPartnerConnRejectsOversizedFrame checks the per-listener frame
@@ -195,19 +231,7 @@ func TestPartnerConnRejectsOversizedFrame(t *testing.T) {
 	n := mustNode(t, cfg)
 	addr := mustListen(t, n)
 
-	c, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := protocol.WriteFrame(c, protocol.Message{
-		Type: protocol.TypePartnerRequest, From: 9, To: -1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := protocol.ReadFrame(c); err != nil || resp.Type != protocol.TypePartnerAccept {
-		t.Fatalf("handshake: %v %v", resp.Type, err)
-	}
+	c := rawPartner(t, addr, 9)
 	waitFor(t, 2*time.Second, func() bool { return len(n.Partners()) == 1 }, "no partnership")
 
 	// 4 KiB push blows the 1 KiB bound; the node must kill the conn.
@@ -311,33 +335,26 @@ func TestBMDeltaReducesSignallingBytes(t *testing.T) {
 	}
 }
 
-// TestLegacyAndBatchedPlanesInteroperate partners a legacy-plane node
-// with a batched one and checks BM state flows in both directions —
-// full maps one way, deltas the other.
-func TestLegacyAndBatchedPlanesInteroperate(t *testing.T) {
-	legacyCfg := testConfig(0, 0)
-	legacyCfg.LegacyPlane = true
-	legacy := mustNode(t, legacyCfg)
-	addr := mustListen(t, legacy)
-	if err := legacy.StartSource(); err != nil {
+// TestFullMapBMExchangeStillApplied speaks the wire protocol by hand as
+// a partner that only ever sends full bm-exchange maps — what a layout
+// wider than MaxDeltaLanes sends — and checks the node applies them
+// next to the deltas it sends itself.
+func TestFullMapBMExchangeStillApplied(t *testing.T) {
+	n := mustNode(t, testConfig(1, 0))
+	addr := mustListen(t, n)
+
+	c := rawPartner(t, addr, 9)
+	bm := buffer.NewBufferMap(testLayout.K)
+	for j := range bm.Latest {
+		bm.Latest[j] = int64(40 + j)
+	}
+	if err := protocol.WriteFrame(c, protocol.Message{
+		Type: protocol.TypeBMExchange, From: 9, To: 1, BM: bm,
+	}); err != nil {
 		t.Fatal(err)
 	}
-	batched := mustNode(t, testConfig(1, 0))
-	mustListen(t, batched)
-	if _, err := batched.Connect(addr); err != nil {
-		t.Fatal(err)
-	}
-	if err := batched.InitBuffers(0); err != nil {
-		t.Fatal(err)
-	}
-	// The batched node learns the legacy node's progress from full maps...
-	waitFor(t, 3*time.Second, func() bool {
-		bm, ok := batched.PartnerBM(0)
-		return ok && bm.MaxLatest() > 0
-	}, "batched node never saw legacy BM")
-	// ...and the legacy node applies the batched node's deltas.
-	waitFor(t, 3*time.Second, func() bool {
-		bm, ok := legacy.PartnerBM(1)
-		return ok && bm.K() == testLayout.K
-	}, "legacy node never applied batched deltas")
+	waitFor(t, 2*time.Second, func() bool {
+		got, ok := n.PartnerBM(9)
+		return ok && got.K() == testLayout.K && got.MaxLatest() == bm.MaxLatest()
+	}, "full-map bm-exchange never applied")
 }

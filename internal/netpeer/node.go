@@ -32,11 +32,6 @@ type Config struct {
 	// net.DialTimeout). Fault-injection wrappers hook in here (see
 	// internal/faults.Injector.WrapDial).
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
-	// LegacyPlane disables the batched data plane: every send takes the
-	// direct one-write-per-frame path and BM exchanges always carry full
-	// maps. This is the "before" configuration the saturation harness
-	// measures the batched plane against.
-	LegacyPlane bool
 	// FlushBytes caps one coalesced write (default 64 KiB).
 	FlushBytes int
 	// FlushDelay is how long the writer lingers for more frames when the
@@ -615,11 +610,9 @@ func (n *Node) registerConn(cn *conn, reserved bool) regStatus {
 	}
 	n.conns[cn.peer] = cn
 	n.lastSeen[cn.peer] = time.Now()
-	if !n.cfg.LegacyPlane {
-		// Attach the batched writer now, while cn is still invisible to
-		// other senders; a conn that lost the tie-break never gets one.
-		cn.startWriter()
-	}
+	// Attach the batched writer now, while cn is still invisible to
+	// other senders; a conn that lost the tie-break never gets one.
+	cn.startWriter()
 	return regLive
 }
 
@@ -823,19 +816,11 @@ func (n *Node) startPusher(cn *conn, j int, startSeq int64) {
 				n.abortPusher(cn, j)
 				return
 			}
-			var err error
-			if cn.writerOn {
-				// Shared fan-out: the block is encoded once per (j, seq)
-				// and every child's writer enqueues the same buffer.
-				var frame []byte
-				if frame, err = n.fanFrame(j, next); err == nil {
-					err = cn.enqueueShared(frame)
-				}
-			} else {
-				err = cn.send(protocol.Message{
-					Type: protocol.TypeBlockPush, From: n.cfg.ID, To: cn.peer,
-					SubStream: int16(j), StartSeq: next, Payload: n.payload,
-				})
+			// Shared fan-out: the block is encoded once per (j, seq)
+			// and every child's writer enqueues the same buffer.
+			frame, err := n.fanFrame(j, next)
+			if err == nil {
+				err = cn.enqueueShared(frame)
 			}
 			if err != nil {
 				n.abortPusher(cn, j)
@@ -959,12 +944,13 @@ func (n *Node) StartSource() error {
 }
 
 // bmLoop periodically sends the node's buffer map to every partner.
-// On the batched plane most exchanges are BMDelta frames: the changes
+// Most exchanges are BMDelta frames: the changes
 // versus the last map sent on that conn, with an absolute keyframe
 // every BMKeyframeEvery exchanges (and after an unacknowledged keyframe
 // outlives its grace) so a receiver that lost sync converges on the
 // next keyframe. A reconnect is a new conn, so it always starts with a
-// keyframe. Legacy conns keep receiving full BMExchange maps.
+// keyframe. Layouts with more lanes than a delta can address
+// (MaxDeltaLanes) send full BMExchange maps.
 func (n *Node) bmLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.BMPeriod)
@@ -995,7 +981,7 @@ func (n *Node) bmLoop() {
 			conns = append(conns, cn)
 		}
 		n.mu.Unlock()
-		// One clone shared (read-only) as every batched conn's bmSent
+		// One clone shared (read-only) as every conn's bmSent
 		// base for next tick's diff.
 		var tickBM buffer.BufferMap
 		for _, cn := range conns {
@@ -1006,7 +992,7 @@ func (n *Node) bmLoop() {
 				// heartbeat instead, so partners can tell a quiet node
 				// from a hung one.
 				m = protocol.Message{Type: protocol.TypePing, From: n.cfg.ID, To: cn.peer}
-			case !cn.writerOn || n.cfg.Layout.K > protocol.MaxDeltaLanes:
+			case n.cfg.Layout.K > protocol.MaxDeltaLanes:
 				m = protocol.Message{Type: protocol.TypeBMExchange, From: n.cfg.ID, To: cn.peer, BM: bm}
 			default:
 				if tickBM.K() == 0 {

@@ -2,12 +2,10 @@
 // real-TCP star overlay (one source fanning the full stream out to N
 // peers over internal/netpeer) at a deliberately hot block rate,
 // measures a steady-state window, and reports the costs the batched
-// plane is meant to cut — write syscalls and bytes per delivered
-// block, and buffer-map signalling bytes per peer — next to the
-// delivered continuity. Running it once with Legacy=true and once
-// without gives the before/after the ISSUE's acceptance bars are
-// stated over; Sweep grows the peer count until continuity collapses
-// to find the sustainable population per plane.
+// plane keeps low — write syscalls and bytes per delivered block, and
+// buffer-map signalling bytes per peer — next to the delivered
+// continuity. Sweep grows the peer count until continuity collapses to
+// find the sustainable population.
 package netsat
 
 import (
@@ -41,9 +39,6 @@ type Config struct {
 	// Settle is how long after the last join measurement starts
 	// (default 500ms).
 	Settle time.Duration
-	// Legacy selects the pre-batching plane: direct one-write-per-frame
-	// sends and full BM maps.
-	Legacy bool
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
 }
@@ -73,7 +68,6 @@ func (c *Config) setDefaults() {
 // window, summed across every node (source and peers).
 type Report struct {
 	Peers       int     `json:"peers"`
-	Legacy      bool    `json:"legacy"`
 	DurationSec float64 `json:"duration_sec"`
 
 	// Delivered counts blocks landed in peer sync buffers.
@@ -129,7 +123,6 @@ func Run(cfg Config) (Report, error) {
 			BMPeriod:     cfg.BMPeriod,
 			BufferBlocks: 4000,
 			ReadyBlocks:  10,
-			LegacyPlane:  cfg.Legacy,
 			FlushDelay:   cfg.FlushDelay,
 		}
 	}
@@ -177,7 +170,7 @@ func Run(cfg Config) (Report, error) {
 			}
 		}
 	}
-	logf("%d peers joined (legacy=%v), settling %v", cfg.Peers, cfg.Legacy, cfg.Settle)
+	logf("%d peers joined, settling %v", cfg.Peers, cfg.Settle)
 	time.Sleep(cfg.Settle)
 
 	all := append([]*netpeer.Node{src}, peers...)
@@ -189,7 +182,6 @@ func Run(cfg Config) (Report, error) {
 
 	rep := Report{
 		Peers:       cfg.Peers,
-		Legacy:      cfg.Legacy,
 		DurationSec: elapsed,
 		Delivered:   after.BlocksReceived - before.BlocksReceived,
 		FramesSent:  after.FramesSent - before.FramesSent,

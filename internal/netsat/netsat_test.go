@@ -9,43 +9,37 @@ import (
 
 // quickConfig keeps the harness affordable inside the test suite: a
 // modest rate, two peers, sub-second window.
-func quickConfig(legacy bool) Config {
+func quickConfig() Config {
 	return Config{
 		Peers:    2,
 		Layout:   buffer.Layout{K: 4, RateBps: 1e6, BlockBytes: 800},
 		BMPeriod: 25 * time.Millisecond,
 		Duration: 500 * time.Millisecond,
 		Settle:   300 * time.Millisecond,
-		Legacy:   legacy,
 	}
 }
 
-func TestRunBothPlanes(t *testing.T) {
-	for _, legacy := range []bool{true, false} {
-		rep, err := Run(quickConfig(legacy))
-		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
-		}
-		if rep.Delivered == 0 || rep.WriteCalls == 0 || rep.BytesSent == 0 {
-			t.Fatalf("legacy=%v: empty measurement %+v", legacy, rep)
-		}
-		if rep.MinContinuity < 0.5 {
-			t.Fatalf("legacy=%v: continuity collapsed at 2 peers: %+v", legacy, rep)
-		}
-		if rep.BMFrames == 0 {
-			t.Fatalf("legacy=%v: no BM traffic measured", legacy)
-		}
-		if legacy && rep.FanShared > 0 {
-			t.Fatalf("legacy plane used the fan-out cache: %+v", rep)
-		}
-		if !legacy && rep.FanEncodes == 0 {
-			t.Fatalf("batched plane never used the fan-out encoder: %+v", rep)
-		}
+func TestRunMeasuresBatchedPlane(t *testing.T) {
+	rep, err := Run(quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Delivered == 0 || rep.WriteCalls == 0 || rep.BytesSent == 0 {
+		t.Fatalf("empty measurement %+v", rep)
+	}
+	if rep.MinContinuity < 0.5 {
+		t.Fatalf("continuity collapsed at 2 peers: %+v", rep)
+	}
+	if rep.BMFrames == 0 {
+		t.Fatal("no BM traffic measured")
+	}
+	if rep.FanEncodes == 0 {
+		t.Fatalf("the fan-out encoder was never used: %+v", rep)
 	}
 }
 
 func TestSweepStopsAtMax(t *testing.T) {
-	cfg := quickConfig(false)
+	cfg := quickConfig()
 	cfg.Duration = 300 * time.Millisecond
 	cfg.Settle = 200 * time.Millisecond
 	reps, sustainable, err := Sweep(cfg, 2, 4, 0.2)

@@ -145,7 +145,7 @@ func BenchmarkJoinDepartChurn(b *testing.B) {
 // accelerating ramp to nPeers concurrent viewers (arrival rate grows
 // linearly across the ramp, like the Fig. 5 build-up toward 21:00),
 // settled and ready for peak-hold measurement.
-func benchWorldPeak(b testing.TB, nPeers int, fullSweep bool, shards int, tune func(*Params)) (*World, *sim.Engine) {
+func benchWorldPeak(b testing.TB, nPeers, shards int, tune func(*Params)) (*World, *sim.Engine) {
 	b.Helper()
 	p := DefaultParams()
 	if tune != nil {
@@ -157,11 +157,8 @@ func benchWorldPeak(b testing.TB, nPeers int, fullSweep bool, shards int, tune f
 	if err != nil {
 		b.Fatal(err)
 	}
-	w.FullSweepControl = fullSweep // must precede joins: the wheel arms at newNode
-	if shards > 1 {
-		if err := w.SetShards(shards); err != nil {
-			b.Fatal(err)
-		}
+	if err := w.SetShards(shards); err != nil {
+		b.Fatal(err)
 	}
 	w.StallAbandonProb = 0
 	w.CrashProb = 0
@@ -202,35 +199,38 @@ func benchWorldPeak(b testing.TB, nPeers int, fullSweep bool, shards int, tune f
 	return w, engine
 }
 
+// meterPeakHold times b.N one-second ticks of a settled peak world and
+// reports the control phase's own cost (control_ns_op via MeterControl)
+// and the due wheel's work (visits_op) next to active_peers.
+func meterPeakHold(b *testing.B, w *World, engine *sim.Engine) {
+	b.Logf("peak population: %d active, %d failed sessions", w.ActivePeerCount(), w.FailedSessions)
+	w.MeterControl(true)
+	base := w.ControlNanos
+	baseVisits := w.ControlVisits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.Run(engine.Now() + sim.Second)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(w.ControlNanos-base)/float64(b.N), "control_ns_op")
+	b.ReportMetric(float64(w.ControlVisits-baseVisits)/float64(b.N), "visits_op")
+	b.ReportMetric(float64(w.ActivePeerCount()), "active_peers")
+}
+
 // BenchmarkTickFlashCrowd40k measures one tick while holding the
-// paper's evening peak of 40k concurrent viewers, under both control
-// modes. The control_ns_op metric isolates the control phase (via
-// MeterControl), which is what the due-wheel accelerates: the fluid
-// allocate/advance phases are O(population) in both modes and dominated
-// by the same code. After the timed hold, the run finishes with the
+// paper's evening peak of 40k concurrent viewers, at one world shard
+// and at four. The control_ns_op metric isolates the control phase (via
+// MeterControl) and visits_op is the due wheel's work per tick against
+// active_peers; the fluid allocate/advance phases are O(population).
+// After the timed hold, the run finishes with the
 // 22:00 program-end cliff (every viewer departs) to exercise the
 // departure storm at full scale.
 func BenchmarkTickFlashCrowd40k(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		fullSweep bool
-		shards    int
-	}{{"wheel", false, 1}, {"sweep", true, 1}, {"sharded4", false, 4}} {
-		b.Run(mode.name, func(b *testing.B) {
-			w, engine := benchWorldPeak(b, peakBenchSize(), mode.fullSweep, mode.shards, nil)
-			b.Logf("peak population: %d active, %d failed sessions", w.ActivePeerCount(), w.FailedSessions)
-			w.MeterControl(true)
-			base := w.ControlNanos
-			baseVisits := w.ControlVisits
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				engine.Run(engine.Now() + sim.Second)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(w.ControlNanos-base)/float64(b.N), "control_ns_op")
-			b.ReportMetric(float64(w.ControlVisits-baseVisits)/float64(b.N), "visits_op")
-			b.ReportMetric(float64(w.ActivePeerCount()), "active_peers")
+	for _, shards := range []int{1, 4} {
+		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
+			w, engine := benchWorldPeak(b, peakBenchSize(), shards, nil)
+			meterPeakHold(b, w, engine)
 			// The 22:00 cliff: everyone leaves at once. Arrivals that were
 			// mid-retry when the program ended re-join moments later, so
 			// sweep the stragglers until the retry chains are exhausted.
@@ -253,9 +253,9 @@ func BenchmarkTickFlashCrowd40k(b *testing.B) {
 // views don't thrash adaptation) and gossip once a minute. At the
 // Table I defaults BM phase dispersion keeps ~75-83% of nodes
 // genuinely due every tick, which caps what any scheduler can skip
-// (DESIGN.md §9); with sparse periods the duty cycle drops to ~20%
-// and the due wheel's asymptotic advantage over the O(population)
-// sweep shows directly.
+// (DESIGN.md §9); with sparse periods the duty cycle drops to ~20%:
+// visits_op against active_peers is the share of the population the
+// due wheel actually visits.
 func BenchmarkTickSparseControl(b *testing.B) {
 	sparse := func(p *Params) {
 		p.BMPeriod = 30 * sim.Second
@@ -263,27 +263,8 @@ func BenchmarkTickSparseControl(b *testing.B) {
 		p.Tp = 80
 		p.Ts = 40
 	}
-	for _, mode := range []struct {
-		name      string
-		fullSweep bool
-	}{{"wheel", false}, {"sweep", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			w, engine := benchWorldPeak(b, 10000, mode.fullSweep, 1, sparse)
-			b.Logf("peak population: %d active, %d failed sessions", w.ActivePeerCount(), w.FailedSessions)
-			w.MeterControl(true)
-			base := w.ControlNanos
-			baseVisits := w.ControlVisits
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				engine.Run(engine.Now() + sim.Second)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(w.ControlNanos-base)/float64(b.N), "control_ns_op")
-			b.ReportMetric(float64(w.ControlVisits-baseVisits)/float64(b.N), "visits_op")
-			b.ReportMetric(float64(w.ActivePeerCount()), "active_peers")
-		})
-	}
+	w, engine := benchWorldPeak(b, 10000, 1, sparse)
+	meterPeakHold(b, w, engine)
 }
 
 // millionBenchSize is the synthetic-overlay population for the
@@ -313,9 +294,9 @@ func benchWorldSynthetic(b testing.TB, nPeers, shards int) (*World, *sim.Engine)
 // BenchmarkTickMillionPeer measures one control tick holding a
 // million-peer synthetic overlay (MILLION_BENCH_PEERS overrides the
 // population), at one shard and at eight. The per-phase nanosecond
-// metrics come from MeterPhases; merge_ns_op is the deferred engine's
-// sequential barrier (effect drain + record-lane flush), the
-// serialization cost the sharded control pays for determinism. Wall
+// metrics come from MeterPhases; merge_ns_op is the control phase's
+// sequential barrier (residue effect drain + record-lane flush), the
+// serialization cost the parallel control pays for determinism. Wall
 // speedup requires real cores: on a single-CPU runner the eight-shard
 // figure measures engine overhead, not parallelism.
 func BenchmarkTickMillionPeer(b *testing.B) {

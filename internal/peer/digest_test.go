@@ -86,20 +86,22 @@ func digestScenarioSink(t *testing.T, controlLoss float64, sink logsys.Sink, rec
 	return worldDigest(w, records(sink))
 }
 
-// goldenRunDigest is the digest of digestScenario(0) captured on the
-// pre-optimisation engine (recursive advance walk, per-call sorting,
-// goroutine-per-phase parallelism). The topology-epoch cache, the
-// sorted partner slices and the persistent worker pool must reproduce
-// the seed behaviour bit-for-bit, so this constant locks them to it.
-const goldenRunDigest = 0x69f13e37ed3614b0
+// goldenRunDigest is the digest of digestScenario(0) — the one pinned
+// golden of the fluid engine. It locks the loss-free RNG-draw order,
+// the fluid arithmetic and the control serialization (DESIGN.md §11):
+// any change to the effect taxonomy, the (src, seq) drain order or the
+// frozen-state contract moves it; a change to shard count, GOMAXPROCS
+// or sink type must not (TestShardedDigestInvariant,
+// TestRunDigestShardedSinkMatchesGolden).
+const goldenRunDigest uint64 = 0x702c509d4fc1a3d6
 
-// TestRunDigestMatchesGolden locks the loss-free RNG-draw order and
-// fluid arithmetic across the perf refactors.
+// TestRunDigestMatchesGolden pins the default world (one shard, memory
+// sink) to the golden.
 func TestRunDigestMatchesGolden(t *testing.T) {
 	got := digestScenario(t, 0)
 	t.Logf("digest = %#x", got)
-	if goldenRunDigest != 0 && got != goldenRunDigest {
-		t.Fatalf("run digest %#x differs from pre-optimisation golden %#x", got, goldenRunDigest)
+	if got != goldenRunDigest {
+		t.Fatalf("run digest %#x differs from golden %#x", got, goldenRunDigest)
 	}
 }
 
@@ -107,12 +109,11 @@ func TestRunDigestMatchesGolden(t *testing.T) {
 // determinism contract: routing the parallel playback phase's
 // media-ready records through per-shard lanes and merging by (time,
 // peer, kind) on drain must reproduce the MemorySink record stream —
-// and hence the pre-optimisation golden digest — bit for bit, serial
-// and parallel.
+// and hence the golden digest — bit for bit, serial and parallel.
 func TestRunDigestShardedSinkMatchesGolden(t *testing.T) {
 	got := digestScenarioSharded(t, 0)
 	t.Logf("sharded digest = %#x", got)
-	if goldenRunDigest != 0 && got != goldenRunDigest {
+	if got != goldenRunDigest {
 		t.Fatalf("sharded-sink run digest %#x differs from golden %#x", got, goldenRunDigest)
 	}
 	orig := runtime.GOMAXPROCS(1)

@@ -9,15 +9,17 @@ import (
 	"coolstream/internal/sim"
 )
 
-// The deferred-effect engine: with more than one shard (or with the
-// ForceDeferredControl A/B hook) control visits run in parallel, one
-// goroutine per shard, and must not mutate any node they do not own.
-// Every cross-node mutation a visit decides on — partnership teardown
-// after a detected crash, a parent switch, a gossip exchange, an
-// engine event, a bootstrap update, a stall abandon — is recorded as
-// an *effect* in the visiting shard's outbox instead of being applied
-// in place. At the tick barrier the outboxes are drained sequentially
-// in the canonical (source node ID, emission seq) order.
+// The deferred-effect engine is the control phase: control visits run
+// in parallel, one goroutine per shard (a one-shard world is the same
+// engine with nshards == 1), and must not mutate any node they do not
+// own. Every cross-node mutation a visit decides on — partnership
+// teardown after a detected crash, a parent switch, a gossip exchange,
+// an engine event, a bootstrap update, a stall abandon — is recorded
+// as an *effect* in the visiting shard's queues instead of being
+// applied in place. At the tick barrier the queues are drained in the
+// canonical (source node ID, emission seq) order: single-target
+// effects in the parallel target/source passes, the residue
+// sequentially.
 //
 // Determinism argument, in two halves:
 //
@@ -39,15 +41,14 @@ import (
 // node a visit chose as parent may have departed in an earlier-drained
 // effect, or the edge may have become cyclic. A rejected attach leaves
 // the sub-stream detached and touches the node so the next tick
-// retries — the same outcome the in-place path reaches when no
-// eligible candidate exists.
+// retries — the same outcome a visit reaches when no eligible
+// candidate exists.
 //
-// This serialization is intentionally *not* byte-identical to the
-// legacy sequential sweep (which interleaves cross-node reads and
-// writes within the phase); it is a second valid serialization of the
-// same protocol with its own invariant digest. The ForceDeferredControl
-// hook runs it at one shard so tests can pin shards=1 ≡ shards=N.
-// See DESIGN.md §11.
+// Sequential phases that decide the same mutations outside a visit —
+// the fault step's partner kill, the bootstrap reply's recruiting —
+// build the same effects and apply them on the spot (applyEffect,
+// commitEventEffects), so each mutation has exactly one implementation.
+// See DESIGN.md §11 and §13.
 
 type effectKind uint8
 
@@ -79,8 +80,8 @@ const (
 	// time.
 	effAbandon
 	// effKill severs the partnership (src, a) — the world-sourced
-	// partner kill of the fault step, routed through the same apply
-	// path so fault damage is identical in both engines.
+	// partner kill of the fault step, applied synchronously through the
+	// same apply path.
 	effKill
 	// effCrashDetach is the visitor-side half of a split partner
 	// crash: detach the sub-streams in bitmask b (baked at emit time;
@@ -107,19 +108,18 @@ type effect struct {
 	f    float64
 }
 
-// vctx is the context of one control visit. The sequential engine
-// uses the world's seqCtx (deferred=false): every vctx helper then
-// reduces to exactly the legacy in-place behaviour. Each shard owns
-// one deferred vctx reused across its visits.
+// vctx is the context of one control visit: the visiting shard's
+// effect queues plus the visited node's own pending parent changes.
+// Each shard owns one, reused across its visits (and, between ticks,
+// by event-time recruiting on its nodes; see commitEventEffects).
 type vctx struct {
-	w        *World
-	sh       *worldShard
-	deferred bool
+	w  *World
+	sh *worldShard
 	// node is the node being visited (the src of emitted effects).
 	node *Node
 	// pendPar/pendSet overlay the visited node's own deferred parent
-	// changes so later steps of the same visit observe them (the
-	// in-place path would); remote nodes never see the overlay.
+	// changes so later steps of the same visit observe them; remote
+	// nodes never see the overlay.
 	pendPar []int
 	pendSet []bool
 	pendAny bool
@@ -142,10 +142,9 @@ func (vc *vctx) beginVisit(n *Node) {
 }
 
 // parent returns sub-stream j's parent as the visit observes it: the
-// committed value, shadowed by the visit's own pending changes in
-// deferred mode.
+// committed value, shadowed by the visit's own pending changes.
 func (vc *vctx) parent(n *Node, j int) int {
-	if vc.deferred && vc.pendSet[j] {
+	if vc.pendSet[j] {
 		return vc.pendPar[j]
 	}
 	return n.Subs[j].Parent
@@ -187,8 +186,8 @@ func (vc *vctx) emitPar(target int, k effectKind, a, b int32, f float64) {
 // first in the visit, so those are crash detaches with disjoint masks
 // (the vc overlay already excludes previously detached sub-streams),
 // and no departure can intervene before the barrier. Layouts with
-// more than 31 sub-streams fall back to the legacy scan-at-apply
-// residue effect.
+// more than 31 sub-streams fall back to the scan-at-apply residue
+// effect.
 func (vc *vctx) emitCrash(n *Node, corpse int) {
 	var mask int32
 	for j := range n.Subs {
@@ -206,31 +205,16 @@ func (vc *vctx) emitCrash(n *Node, corpse int) {
 		return
 	}
 	vc.emitPar(n.ID, effCrashDetach, int32(corpse), mask, 0)
-	// Emitted even for an empty mask: the legacy effect always
-	// attempted the corpse reclaim, and the last detector must still
-	// trigger the donation.
+	// Emitted even for an empty mask: the last detector must still
+	// trigger the corpse reclaim.
 	vc.emitPar(corpse, effCrashChildren, int32(corpse), mask, 0)
 }
 
 // setParent is the choke point for subscription changes decided inside
-// a control visit (subscribe's attach, adapt's detach). The sequential
-// path applies in place exactly as the pre-shard engine did; a
-// deferred visit records the change in its overlay and emits an
-// effSetParent for the barrier.
+// a control visit (subscribe's attach, adapt's detach): the change is
+// recorded in the visit overlay and commits at the barrier through
+// applySetParent.
 func (vc *vctx) setParent(n *Node, j, parent int) {
-	if !vc.deferred {
-		w := vc.w
-		if old := n.Subs[j].Parent; old != NoParent && old != parent {
-			w.nodes[old].removeChild(j, n.ID)
-			w.reclaimCorpseChildren(w.nodes[old])
-		}
-		n.Subs[j].Parent = parent
-		n.Subs[j].RateBps = 0
-		if parent != NoParent {
-			w.nodes[parent].addChild(j, n.ID)
-		}
-		return
-	}
 	vc.pendPar[j] = parent
 	vc.pendSet[j] = true
 	vc.pendAny = true
@@ -256,15 +240,10 @@ func (vc *vctx) parentStats(n *Node) (reachable, total, natLinks int) {
 	return
 }
 
-// vlog emits a control-phase record: straight to the sink on the
-// sequential path, into the shard's record lane in deferred mode. The
-// lanes are flushed at the barrier in ascending peer-ID order — the
-// order the sequential sweep emits.
+// vlog emits a control-phase record into the visiting shard's record
+// lane. The lanes are flushed at the barrier in ascending peer-ID
+// order, so the record stream is independent of the shard partition.
 func (w *World) vlog(vc *vctx, n *Node, rec logsys.Record) {
-	if !vc.deferred {
-		w.log(n, rec)
-		return
-	}
 	if n.IsServer() {
 		return
 	}
@@ -312,7 +291,7 @@ func (w *World) drainEffects(now sim.Time) {
 }
 
 // gossipSampleN is the §III-C partner-sample size of one gossip
-// exchange (the legacy literal 4 in the in-place path).
+// exchange.
 const gossipSampleN = 4
 
 // gossipReply carries the sampled entries of one deferred gossip
@@ -329,7 +308,7 @@ type gossipReply struct {
 
 // growDrainScratch sizes the per-shard routing queues to the current
 // shard count. Called at the top of controlSharded so late SetShards
-// calls (and the ForceDeferredControl one-shard bridge) are covered.
+// calls are covered.
 func (w *World) growDrainScratch() {
 	ns := len(w.shards)
 	for _, sh := range w.shards {
@@ -500,8 +479,8 @@ func (w *World) applyTargetEffect(t *worldShard, e effect, now sim.Time) {
 // flushShardRecords merges the per-shard record lanes into the sink in
 // ascending peer-ID order. Each lane is already in visit order (one
 // node's records contiguous, node IDs ascending within a shard), so a
-// head merge on peer ID that copies each node's run whole restores the
-// sequential sweep's emission order.
+// head merge on peer ID that copies each node's run whole yields one
+// stream in peer-ID order, whatever the shard partition.
 func (w *World) flushShardRecords() {
 	cur := w.effCur[:len(w.shards)]
 	for i := range cur {
@@ -530,7 +509,8 @@ func (w *World) flushShardRecords() {
 	}
 }
 
-// applyEffect commits one effect against the committed world state.
+// applyEffect commits one residue effect against the committed world
+// state (routed single-target kinds commit in applyTargetEffect).
 // Every case re-checks the liveness preconditions the emitting visit
 // could only establish against frozen state: an earlier-drained effect
 // may have departed either end.
@@ -552,30 +532,6 @@ func (w *World) applyEffect(e effect, now sim.Time) {
 		w.reclaimCorpseChildren(corpse)
 	case effSetParent:
 		w.applySetParent(w.nodes[e.src], int(e.a), int(e.b))
-	case effStartSub:
-		n := w.nodes[e.src]
-		if n.State != StateJoining {
-			return
-		}
-		n.startPos = e.f
-		for j := range n.Subs {
-			n.Subs[j].H = e.f
-		}
-		if e.a != 0 {
-			n.State = StateSubscribing
-			n.StartSubAt = now
-		}
-	case effGossip:
-		n := w.nodes[e.src]
-		partner := w.nodes[e.a]
-		if n.State == StateDeparted || partner.State == StateDeparted ||
-			n.MCache == nil || partner.MCache == nil {
-			return
-		}
-		for _, en := range partner.MCache.Sample(4, n.ID, nil) {
-			n.MCache.Insert(en, now)
-		}
-		partner.MCache.Insert(w.bootEntry(n), now)
 	case effSchedule:
 		switch e.a {
 		case 1:
@@ -604,9 +560,9 @@ func (w *World) applyEffect(e effect, now sim.Time) {
 // against the committed forest what the visit judged against frozen
 // state: the chosen parent may since have departed, or an
 // earlier-drained switch may make the edge cyclic. A rejected attach
-// leaves the sub-stream detached — the same outcome the in-place path
-// reaches when no eligible candidate exists — and touches the node so
-// the next tick's visit retries.
+// leaves the sub-stream detached — the same outcome a visit reaches
+// when no eligible candidate exists — and touches the node so the next
+// tick's visit retries.
 func (w *World) applySetParent(n *Node, j, parent int) {
 	if n.State == StateDeparted {
 		return
@@ -633,7 +589,7 @@ func (w *World) applySetParent(n *Node, j, parent int) {
 	p.addChild(j, n.ID)
 }
 
-// controlSharded is the deferred-effect control phase. Four stages:
+// controlSharded is the control phase. Four stages:
 //
 //  1. sequential: route the playback phase's Inequality (1) flag
 //     lists to their owner shards and drain every shard's wheel into
@@ -650,18 +606,17 @@ func (w *World) controlSharded(now sim.Time) {
 	w.growDrainScratch()
 	if w.nshards > 1 {
 		// Shard-local playback already partitioned the flag lists by
-		// owner shard: route with one append per shard instead of a
-		// per-ID shard lookup.
+		// owner shard.
 		for si := 0; si < w.nshards && si < len(w.advFlagShards); si++ {
 			sh := w.shards[si]
 			sh.wheelBuf = append(sh.wheelBuf, w.advFlagShards[si]...)
 		}
 	} else {
+		// Range-split playback indexes the lists by worker slot; one
+		// shard owns every node.
+		sh := w.shards[0]
 		for _, flagged := range w.advFlagShards {
-			for _, id := range flagged {
-				sh := w.shards[w.nodes[id].shard]
-				sh.wheelBuf = append(sh.wheelBuf, id)
-			}
+			sh.wheelBuf = append(sh.wheelBuf, flagged...)
 		}
 	}
 	for _, sh := range w.shards {
@@ -703,24 +658,47 @@ func (w *World) controlSharded(now sim.Time) {
 	}
 }
 
-// mergeBarrier is the sequential tail of the sharded tick: record-lane
-// flush, residue effect drain, counter folds.
+// mergeBarrier is the sequential tail of the tick: record-lane flush,
+// residue effect drain, counter folds.
 func (w *World) mergeBarrier(now sim.Time) {
 	w.flushShardRecords()
 	w.drainEffects(now)
 	for _, sh := range w.shards {
-		w.ControlVisits += sh.visits
-		sh.visitsTotal += sh.visits
-		sh.visits = 0
-		w.ReadySessions += sh.ready
-		sh.ready = 0
-		w.Adaptations += sh.adapts
-		sh.adapts = 0
-		if w.Faults != nil {
-			w.Faults.Stats.NATRefusals += sh.natRefusals
-		}
-		sh.natRefusals = 0
+		w.foldCounters(sh)
 	}
+}
+
+// foldCounters moves one shard's per-tick counters into the world
+// totals (ControlVisits, ReadySessions, Adaptations, NAT refusals), so
+// parallel visits never touch a shared counter and the totals only
+// move in sequential phases.
+func (w *World) foldCounters(sh *worldShard) {
+	w.ControlVisits += sh.visits
+	sh.visitsTotal += sh.visits
+	sh.visits = 0
+	w.ReadySessions += sh.ready
+	sh.ready = 0
+	w.Adaptations += sh.adapts
+	sh.adapts = 0
+	if w.Faults != nil {
+		w.Faults.Stats.NATRefusals += sh.natRefusals
+	}
+	sh.natRefusals = 0
+}
+
+// commitEventEffects applies, on the spot, what an event-time decision
+// on one of sh's nodes emitted through the shard's visit context (the
+// bootstrap reply's recruiting). Events fire between ticks, when every
+// queue is empty, so the outbox holds exactly that decision's effects
+// in emission order.
+func (w *World) commitEventEffects(sh *worldShard) {
+	now := w.Engine.Now()
+	for _, e := range sh.outbox {
+		w.applyEffect(e, now)
+	}
+	sh.outbox = sh.outbox[:0]
+	sh.effSeq = 0
+	w.foldCounters(sh)
 }
 
 // shardVisitRange is the parallel stage of controlSharded: shards

@@ -42,9 +42,9 @@ func (w *World) killRandomPartnership() {
 	}
 	n := w.nodes[cands[w.faultRNG.Intn(len(cands))]]
 	pid := n.partnerIDs[w.faultRNG.Intn(len(n.partnerIDs))]
-	// Route through the effect-apply path shared with the deferred
-	// engine, applied immediately (the fault phase is sequential) so the
-	// firing sequence is identical under any shard count.
+	// Route through the effect-apply path, applied immediately: the
+	// fault phase is sequential, so the firing sequence is identical
+	// under any shard count.
 	w.applyEffect(effect{kind: effKill, src: int32(n.ID), a: int32(pid)}, w.Engine.Now())
 }
 

@@ -24,7 +24,7 @@ import (
 //   - The §IV-B Inequality (1) depends on the continuously evolving
 //     fluid H state, which only the advance phase moves; crossings are
 //     detected in the playback phase of the same tick (per-shard flag
-//     lists merged into the drain set, see playbackShard) instead of
+//     lists merged into the due set, see playbackIDs) instead of
 //     being predicted. Inequality (2) and the parent-link condition
 //     are frozen between BM refreshes; refreshBMs reports the refresh
 //     outcomes that can change their verdicts (evalHint) and
@@ -34,38 +34,24 @@ import (
 //   - State changed *from outside* a node's own visit (partnership
 //     established or severed, parent departed) is signalled through
 //     touchNode, which forces a visit on the next drained tick — the
-//     same tick a full sweep would first observe the change.
+//     first tick a visit could observe the change.
 //
-// Visits drain in ascending node-ID order, matching the full sweep's
-// iteration order exactly, so a run with the wheel enabled is
-// bit-identical (RNG streams, log records, digest) to the legacy
-// O(population) sweep.
+// A run driven by the wheel is therefore bit-identical (RNG streams,
+// log records, digest) to one that visits every active node every
+// tick; TestWheelMatchesFullSweep holds the wheel to that oracle.
 
 // farFuture is the "no finite deadline" sentinel for due components.
 const farFuture = sim.Time(1) << 62
 
-// wheelOn reports whether due-driven control is active. FullSweepControl
-// must be set before the first join is scheduled; toggling it mid-run is
-// unsupported (the wheel would hold a stale schedule).
-func (w *World) wheelOn() bool { return len(w.shards) > 0 && !w.FullSweepControl }
-
 // touchNode signals that a node's control-relevant state was changed
-// from outside its own control visit, scheduling a visit on the next
-// drained tick on the node's own shard wheel. Safe to call for servers
-// and departed nodes (no-op).
-//
-// During the legacy single-shard drain the rule mirrors the full sweep
-// exactly: a touched node whose ID is still ahead of the drain cursor
-// is inserted into this tick's due set (the sweep would reach it this
-// tick); one at or behind the cursor is deferred to the next tick (the
-// sweep already passed it). The deferred-effect engine only touches
-// nodes from sequential phases (events, the barrier drain) — its
-// wheels are drained before the barrier, so Schedule clamps to the
-// next tick, which is exactly "the sweep already passed".
+// from outside its own control visit, scheduling a visit on its shard
+// wheel at the current time. Touches come only from sequential phases,
+// never from inside a visit, so one rule covers them all: the visit
+// happens at the next wheel drain — this tick's control phase when the
+// touch precedes it (events, the fault step), the next tick's when it
+// comes from the barrier drain. Safe to call for servers and departed
+// nodes (no-op).
 func (w *World) touchNode(id int) {
-	if !w.wheelOn() {
-		return
-	}
 	n := w.nodes[id]
 	if n.IsServer() || n.State == StateDeparted {
 		return
@@ -74,16 +60,7 @@ func (w *World) touchNode(id int) {
 	// the next visit (conservative; evaluation without violation draws
 	// no randomness and changes nothing).
 	n.adaptDue = 0
-	sh := w.shards[n.shard]
-	if w.draining {
-		if id > w.drainPos {
-			w.insertDue(sh, id)
-			return
-		}
-		w.wheelSchedule(sh, n, sh.wheel.Base())
-		return
-	}
-	w.wheelSchedule(sh, n, w.Engine.Now())
+	w.wheelSchedule(w.shards[n.shard], n, w.Engine.Now())
 }
 
 // wheelSchedule enqueues the node on its shard's wheel at the given
@@ -102,39 +79,12 @@ func (w *World) wheelSchedule(sh *worldShard, n *Node, at sim.Time) {
 	n.wheelAt = at
 }
 
-// insertDue adds id into the not-yet-visited tail of the current drain
-// set, keeping it sorted and duplicate-free. Only the legacy
-// single-shard drain uses it (the deferred engine never touches nodes
-// mid-drain).
-func (w *World) insertDue(sh *worldShard, id int) {
-	due := sh.dueIDs
-	v := int32(id)
-	// Plain binary search (sort.Search's func parameter would allocate
-	// a closure on this churn-hot path).
-	i, hi := w.drainIdx+1, len(due)
-	for i < hi {
-		mid := int(uint(i+hi) >> 1)
-		if due[mid] < v {
-			i = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if i < len(due) && due[i] == v {
-		return
-	}
-	due = append(due, 0)
-	copy(due[i+1:], due[i:])
-	due[i] = v
-	sh.dueIDs = due
-}
-
 // nextControlDue computes the node's next control deadline as the
 // minimum over every control component's own due time. Called at the
 // end of a visit, when every component that was due has just acted and
 // pushed its own timer forward. Reads parents through the visit
-// context so a deferred detach (applied only at the barrier) still
-// registers as a stalled sub-stream — missing it would skip the
+// context so a detach decided this visit (applied only at the barrier)
+// still registers as a stalled sub-stream — missing it would skip the
 // every-tick re-subscribe polling and stall the node forever.
 func (w *World) nextControlDue(vc *vctx, n *Node, now sim.Time) sim.Time {
 	tick := w.Engine.TickPeriod()
@@ -181,7 +131,7 @@ func (w *World) nextControlDue(vc *vctx, n *Node, now sim.Time) sim.Time {
 // now. Outside the cool-down no timer is needed — every way an
 // adaptation input can newly violate an inequality carries its own
 // signal: Inequality (1) crossings of the fluid H state are flagged by
-// the playback phase of the tick they happen (see playbackShard),
+// the playback phase of the tick they happen (see playbackIDs),
 // Inequality (2) and the parent-link condition are frozen between BM
 // refreshes and refreshBMs reports the refresh outcomes that can flip
 // them (evalHint), and membership changes from outside the visit zero
@@ -224,48 +174,6 @@ func (w *World) stallDue(n *Node, now sim.Time) sim.Time {
 		return gate
 	}
 	return cross
-}
-
-// controlWheel is the legacy single-shard due-driven control phase:
-// drain this tick's due set from the wheel, visit the unique IDs in
-// ascending order, and re-arm each survivor at its next control
-// deadline. Bit-identical to the pre-shard engine.
-func (w *World) controlWheel(now sim.Time) {
-	sh := w.shards[0]
-	sh.wheelBuf = sh.wheel.DrainTo(now, sh.wheelBuf[:0])
-	buf := sh.wheelBuf
-	// Merge the playback phase's Inequality (1) flag lists: a flagged
-	// node must be visited this tick (the full sweep would evaluate it
-	// now), whether or not a timer already had it due.
-	for _, flagged := range w.advFlagShards {
-		buf = append(buf, flagged...)
-	}
-	sh.wheelBuf = buf
-	sortInt32(buf)
-	due := sh.dueIDs[:0]
-	prev := int32(-1)
-	for _, id := range buf {
-		if id != prev {
-			due = append(due, id)
-			prev = id
-		}
-	}
-	sh.dueIDs = due
-	w.draining = true
-	for w.drainIdx = 0; w.drainIdx < len(sh.dueIDs); w.drainIdx++ {
-		id := int(sh.dueIDs[w.drainIdx])
-		w.drainPos = id
-		n := w.nodes[id]
-		n.wheelAt = 0
-		if n.State == StateDeparted || n.IsServer() {
-			continue
-		}
-		w.controlVisit(&w.seqCtx, n, now)
-		if n.State != StateDeparted {
-			w.wheelSchedule(sh, n, w.nextControlDue(&w.seqCtx, n, now))
-		}
-	}
-	w.draining = false
 }
 
 // sortInt32 sorts ascending in place (insertion sort below a small

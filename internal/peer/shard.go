@@ -17,14 +17,13 @@ import (
 // scheduler, the node-shell arenas and free lists, the control-phase
 // log lane, the effect outbox and the per-shard counters.
 //
-// With one shard (the default) the engine is the legacy sequential
-// engine, bit for bit: every structure lives on shards[0] and the
-// control phase runs exactly the pre-shard code path. With more than
-// one shard the control phase switches to the deferred-effect engine
-// (see effects.go and DESIGN.md §11): shards visit their due nodes in
-// parallel, cross-node mutations are queued as effects, and a
-// sequential barrier applies them in a canonical order that is
-// independent of both the shard count (for N ≥ 2) and GOMAXPROCS.
+// The control phase is the deferred-effect engine (see effects.go and
+// DESIGN.md §11): shards visit their due nodes in parallel, cross-node
+// mutations are queued as effects, and the tick barrier applies them
+// in a canonical order that is independent of both the shard count and
+// GOMAXPROCS. With one shard (the default) every structure lives on
+// shards[0] and the same engine runs with nshards == 1 — the shard
+// count is a performance setting, never a behaviour switch.
 type worldShard struct {
 	idx int
 
@@ -62,7 +61,7 @@ type worldShard struct {
 	fillerPool []*netmodel.Filler
 	ppool      partnerPool
 
-	// Deferred-control state: the shard's visit context, the residue
+	// Control state: the shard's visit context, the residue
 	// effect outbox (drained sequentially in canonical (src, seq) order
 	// at the barrier), the target-routed queues of the parallel drain
 	// passes and the shard's record lane for control-phase log records.
@@ -131,19 +130,18 @@ func (w *World) newShard(idx int) *worldShard {
 	sh.wheel = sim.NewWheel(w.Engine.TickPeriod(), 512, w.Engine.Now())
 	k := w.P.Layout.K
 	sh.vc = vctx{
-		w:        w,
-		sh:       sh,
-		deferred: true,
-		pendPar:  make([]int, k),
-		pendSet:  make([]bool, k),
+		w:       w,
+		sh:      sh,
+		pendPar: make([]int, k),
+		pendSet: make([]bool, k),
 	}
 	return sh
 }
 
 // SetShards partitions the world into n per-core shards. Must be
 // called on an empty world, before AddServer or Join — the shard of a
-// node is decided at creation and never migrates. n = 1 restores the
-// single-shard legacy engine (the NewWorld default).
+// node is decided at creation and never migrates. n = 1 is the
+// NewWorld default.
 func (w *World) SetShards(n int) error {
 	if n < 1 {
 		n = 1
@@ -153,9 +151,6 @@ func (w *World) SetShards(n int) error {
 	}
 	if len(w.nodes) > 0 || w.sessions > 0 {
 		return fmt.Errorf("peer: SetShards(%d) on a populated world", n)
-	}
-	if w.FullSweepControl && n > 1 {
-		return fmt.Errorf("peer: sharded control requires the due wheel (FullSweepControl is set)")
 	}
 	for len(w.shards) < n {
 		w.shards = append(w.shards, w.newShard(len(w.shards)))
@@ -170,15 +165,6 @@ func (w *World) SetShards(n int) error {
 
 // NumShards returns the configured world-shard count.
 func (w *World) NumShards() int { return w.nshards }
-
-// deferredOn reports whether the control phase runs as the
-// deferred-effect engine (DESIGN.md §11): always with more than one
-// shard, or forced at one shard by the ForceDeferredControl A/B hook.
-// Requires the due wheel; with FullSweepControl set the world falls
-// back to the legacy sweep.
-func (w *World) deferredOn() bool {
-	return (w.nshards > 1 || w.ForceDeferredControl) && w.wheelOn()
-}
 
 // shardOf returns the shard owning node n.
 func (w *World) shardOf(n *Node) *worldShard { return w.shards[n.shard] }
@@ -385,9 +371,7 @@ type ShardStat struct {
 	Effects     int64
 }
 
-// ShardStats returns cumulative per-shard statistics. Visit counts and
-// effect totals are only populated by the deferred-effect engine; the
-// legacy single-shard path accounts on the world counters instead.
+// ShardStats returns cumulative per-shard statistics.
 func (w *World) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(w.shards))
 	for i, sh := range w.shards {
@@ -410,18 +394,18 @@ type PhaseNanos struct {
 	Playback int64
 	Account  int64
 	Control  int64
-	// Drain is the parallel half of the deferred-effect barrier: the
+	// Drain is the parallel half of the control barrier: the
 	// per-target-shard effect pass and the per-source-shard gossip
 	// reply pass.
 	Drain int64
-	// Merge is the sequential tail of the deferred-effect engine:
+	// Merge is the sequential tail of the control barrier:
 	// record-lane flush, residue effect drain and counter folds.
 	Merge int64
 }
 
 // MeterPhases enables wall-clock metering of every tick phase
-// (allocate/advance/playback/account/control and, in deferred mode,
-// the merge barrier). Implies MeterControl.
+// (allocate/advance/playback/account/control, with the barrier's
+// drain and merge split out). Implies MeterControl.
 func (w *World) MeterPhases(on bool) {
 	w.phaseClock = on
 	if on {

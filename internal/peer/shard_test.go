@@ -11,51 +11,28 @@ import (
 	"coolstream/internal/sim"
 )
 
-// setShards returns a world mutator configuring n shards (and, when
-// force is set, the ForceDeferredControl A/B hook so a one-shard world
-// runs the deferred-effect serialization).
-func setShards(t *testing.T, n int, force bool) func(*World) {
+// setShards returns a world mutator configuring n shards.
+func setShards(t *testing.T, n int) func(*World) {
 	return func(w *World) {
 		if err := w.SetShards(n); err != nil {
 			t.Fatal(err)
 		}
-		w.ForceDeferredControl = force
 	}
 }
 
-// goldenDeferredDigest is the digest of the loss-free golden scenario
-// under the deferred-effect serialization (DESIGN.md §11) — the sharded
-// engine's counterpart of goldenRunDigest. It is intentionally a
-// different constant: deferring cross-node control mutations to the
-// tick barrier is a second valid serialization of the same protocol,
-// not a bit-identical replay of the sequential sweep. Any change to the
-// effect taxonomy, the (src, seq) drain order or the frozen-state
-// contract moves it. Moved once by the target-sharded drain of
-// DESIGN.md §13 (previously 0xd81425e7e92079c5): routed single-target
-// effects now commit in the parallel drain passes *before* the
-// sequential residue, a third valid serialization — still one digest
-// across every shard count × GOMAXPROCS.
-const goldenDeferredDigest uint64 = 0x702c509d4fc1a3d6
-
 // TestShardedDigestInvariant is the tentpole determinism property: the
-// deferred-effect engine must produce one digest for every shard count
-// and every GOMAXPROCS. shards=1 with ForceDeferredControl pins the
-// canonical serialization at the bottom of the range, so the invariant
-// covers shards ∈ {1, 2, 4, 8, 16} × GOMAXPROCS ∈ {1, 8}.
+// control engine must produce one digest — the pinned golden — for
+// every shard count and every GOMAXPROCS, over shards ∈ {1, 2, 4, 8,
+// 16} × GOMAXPROCS ∈ {1, 8}.
 func TestShardedDigestInvariant(t *testing.T) {
 	orig := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(orig)
-	base := digestScenario(t, 0, setShards(t, 1, true))
-	t.Logf("deferred-engine digest = %#x", base)
-	if base != goldenDeferredDigest {
-		t.Fatalf("deferred-engine digest %#x differs from golden %#x", base, goldenDeferredDigest)
-	}
 	for _, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
 		for _, shards := range []int{1, 2, 4, 8, 16} {
-			force := shards == 1
-			if got := digestScenario(t, 0, setShards(t, shards, force)); got != base {
-				t.Fatalf("shards=%d GOMAXPROCS=%d: digest %#x != %#x", shards, procs, got, base)
+			if got := digestScenario(t, 0, setShards(t, shards)); got != goldenRunDigest {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: digest %#x != golden %#x",
+					shards, procs, got, goldenRunDigest)
 			}
 		}
 	}
@@ -66,9 +43,9 @@ func TestShardedDigestInvariant(t *testing.T) {
 // draw from the node RNG, so any divergence in visit order or count
 // shows up immediately.
 func TestShardedDigestInvariantWithControlLoss(t *testing.T) {
-	base := digestScenario(t, 0.2, setShards(t, 1, true))
+	base := digestScenario(t, 0.2, setShards(t, 1))
 	for _, shards := range []int{2, 8} {
-		if got := digestScenario(t, 0.2, setShards(t, shards, false)); got != base {
+		if got := digestScenario(t, 0.2, setShards(t, shards)); got != base {
 			t.Fatalf("shards=%d: lossy digest %#x != %#x", shards, got, base)
 		}
 	}
@@ -77,17 +54,17 @@ func TestShardedDigestInvariantWithControlLoss(t *testing.T) {
 // TestShardedChaosDigestInvariant runs the adversarial fault scenario
 // (tracker outage, NAT refusals, partner kills, burst loss, control
 // loss) across shard counts and parallelism levels: fault-phase kills
-// route through the shared effect-apply path, so their damage must be
-// identical under any partition.
+// and event-time recruiting apply their effects on the spot, so their
+// damage must be identical under any partition.
 func TestShardedChaosDigestInvariant(t *testing.T) {
 	orig := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(orig)
 	for _, seed := range []uint64{7, 4242} {
-		base, _ := schedScenario(t, seed, false, setShards(t, 1, true))
+		base, _ := schedScenario(t, seed, setShards(t, 1))
 		for _, procs := range []int{1, 8} {
 			runtime.GOMAXPROCS(procs)
 			for _, shards := range []int{2, 4, 16} {
-				got, _ := schedScenario(t, seed, false, setShards(t, shards, false))
+				got, _ := schedScenario(t, seed, setShards(t, shards))
 				if got != base {
 					t.Fatalf("seed=%d shards=%d GOMAXPROCS=%d: chaos digest %#x != %#x",
 						seed, shards, procs, got, base)
@@ -105,7 +82,7 @@ func TestShardedChaosDigestInvariant(t *testing.T) {
 // aggregate counters agree with a full recount.
 func TestShardAssignmentStable(t *testing.T) {
 	const shards = 4
-	_, w := schedScenario(t, 4242, false, setShards(t, shards, false))
+	_, w := schedScenario(t, 4242, setShards(t, shards))
 	if w.NumShards() != shards {
 		t.Fatalf("NumShards = %d, want %d", w.NumShards(), shards)
 	}
@@ -247,7 +224,7 @@ func TestDrainTargetOrderIsCanonicalRestriction(t *testing.T) {
 			}
 		}
 	}
-	_, w := schedScenario(t, 7, false, arm)
+	_, w := schedScenario(t, 7, arm)
 	total := 0
 	for si, sh := range w.shards {
 		want := expected[si]
@@ -269,7 +246,7 @@ func TestDrainTargetOrderIsCanonicalRestriction(t *testing.T) {
 }
 
 // TestSetShardsGuards pins the configuration contract: out-of-range
-// counts, populated worlds and the full-sweep mode are rejected.
+// counts and populated worlds are rejected.
 func TestSetShardsGuards(t *testing.T) {
 	p := DefaultParams()
 	engine := sim.NewEngine(sim.Second)
@@ -281,11 +258,6 @@ func TestSetShardsGuards(t *testing.T) {
 	if err := w.SetShards(maxShards + 1); err == nil {
 		t.Fatal("SetShards above the cap must fail")
 	}
-	w.FullSweepControl = true
-	if err := w.SetShards(2); err == nil {
-		t.Fatal("SetShards(2) with FullSweepControl must fail")
-	}
-	w.FullSweepControl = false
 	if err := w.SetShards(2); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,8 @@ import (
 //     (parallel, per node)
 //  4. accounting  — byte counters (sequential, deterministic)
 //  5. control     — BM exchange, gossip, adaptation, recruiting,
-//     status reports (sequential, ID order)
+//     status reports (parallel per world shard over the due nodes,
+//     cross-node mutations deferred to the barrier; see effects.go)
 //
 // The parallel phases run on sim's persistent worker pool through
 // shard functions bound once at construction, with all per-tick
@@ -44,8 +45,8 @@ func (w *World) tick(prev, now sim.Time) {
 		w.tickLoss = w.Faults.LossFrac(now)
 	}
 	// Lane and flag-list counts cover both indexing schemes: the
-	// legacy worker-sharded playback indexes by worker slot (<
-	// GOMAXPROCS), the shard-local playback by world shard (< nshards).
+	// range-split playback indexes by worker slot (< GOMAXPROCS), the
+	// shard-local playback by world shard (< nshards).
 	lanes := runtime.GOMAXPROCS(0)
 	if w.nshards > lanes {
 		lanes = w.nshards
@@ -53,19 +54,17 @@ func (w *World) tick(prev, now sim.Time) {
 	if w.sharded != nil {
 		w.ensureLanes(lanes)
 	}
-	if w.wheelOn() {
-		// Stage the Inequality (1) detector for the playback shards: a
-		// node whose deviation crossed Ts with the adaptation cool-down
-		// expired is flagged into its shard's list and merged into this
-		// tick's control drain (see playbackShard and controlWheel).
-		w.tickAdaptCut = now - w.P.Ta
-		w.tickTsF = float64(w.P.Ts)
-		for len(w.advFlagShards) < lanes {
-			w.advFlagShards = append(w.advFlagShards, nil)
-		}
-		for i := range w.advFlagShards {
-			w.advFlagShards[i] = w.advFlagShards[i][:0]
-		}
+	// Stage the Inequality (1) detector for the playback shards: a node
+	// whose deviation crossed Ts with the adaptation cool-down expired
+	// is flagged into its shard's list and merged into this tick's
+	// control drain (see playbackIDs and controlSharded).
+	w.tickAdaptCut = now - w.P.Ta
+	w.tickTsF = float64(w.P.Ts)
+	for len(w.advFlagShards) < lanes {
+		w.advFlagShards = append(w.advFlagShards, nil)
+	}
+	for i := range w.advFlagShards {
+		w.advFlagShards[i] = w.advFlagShards[i][:0]
 	}
 	if w.phaseClock {
 		t0 := time.Now()
@@ -90,29 +89,16 @@ func (w *World) tick(prev, now sim.Time) {
 	w.faultStep(dt)
 	if w.controlClock {
 		start := time.Now()
-		w.dispatchControl(now)
+		w.controlSharded(now)
 		w.ControlNanos += time.Since(start).Nanoseconds()
 	} else {
-		w.dispatchControl(now)
+		w.controlSharded(now)
 	}
 	// Settle departures that happened during control (stall abandons)
 	// so per-tick observers see a membership-consistent active list.
 	// One pass per tick with any departures, instead of one memmove per
 	// departure.
 	w.compactAllActive()
-}
-
-// dispatchControl runs the control phase through the deferred-effect
-// sharded engine, the single-shard due wheel, or the legacy full
-// sweep.
-func (w *World) dispatchControl(now sim.Time) {
-	if w.deferredOn() {
-		w.controlSharded(now)
-	} else if w.wheelOn() {
-		w.controlWheel(now)
-	} else {
-		w.control(w.tickIDs, now)
-	}
 }
 
 // allocate runs the water-filling allocator on every serving node.
@@ -122,9 +108,9 @@ func (w *World) dispatchControl(now sim.Time) {
 // world shards, which is why the shard-local path needs no routing.
 // With more than one shard the phase iterates the per-shard active
 // lists directly (one worker per world shard, no merged-view
-// rebuild); the single-shard path keeps the legacy range split over
-// the merged snapshot. The allocator is per-parent independent, so
-// both partitions compute bit-identical rates.
+// rebuild); the single-shard path range-splits the merged snapshot.
+// The allocator is per-parent independent, so both partitions compute
+// bit-identical rates.
 func (w *World) allocate() {
 	if w.nshards > 1 {
 		sim.ParallelGrain(w.nshards, 1, w.allocateLocalFn)
@@ -316,7 +302,7 @@ func (w *World) playbackIDs(shard int, ids []int) {
 	// so a deviation crossing observed here is exactly what the control
 	// phase of this same tick would observe. Each shard owns a disjoint
 	// slice of nodes and its own flag list, so the writes never collide.
-	flagging := w.wheelOn() && shard < len(w.advFlagShards)
+	flagging := shard < len(w.advFlagShards)
 	for _, id := range ids {
 		n := w.nodes[id]
 		if n.IsServer() {
@@ -388,42 +374,18 @@ func (w *World) account(ids []int) {
 	}
 }
 
-// control runs the per-node protocol logic in deterministic ID order —
-// the legacy full sweep, kept for A/B verification against the due
-// wheel. Nodes may depart (stall-abandon) or change subscriptions
-// here, so it iterates a reusable snapshot and re-checks liveness.
-func (w *World) control(ids []int, now sim.Time) {
-	w.controlIDs = append(w.controlIDs[:0], ids...)
-	for _, id := range w.controlIDs {
-		n := w.nodes[id]
-		if n.State == StateDeparted || n.IsServer() {
-			continue
-		}
-		w.controlVisit(&w.seqCtx, n, now)
-	}
-}
-
 // controlVisit runs one node's control sequence for this tick. The
 // statement order is the protocol's per-tick contract: BM refresh,
 // gossip, state-specific subscription work, recruiting, the stall
-// check, then status reports. Every control mode — the full sweep,
-// the due wheel, the deferred-effect shards — executes exactly this
-// body; the visit context decides whether cross-node mutations apply
-// in place (sequential modes) or defer to the barrier (sharded mode).
+// check, then status reports. Cross-node mutations go through the
+// visit context and commit at the barrier; counters go to the visiting
+// shard and fold there too.
 func (w *World) controlVisit(vc *vctx, n *Node, now sim.Time) {
 	vc.beginVisit(n)
-	if vc.deferred {
-		vc.sh.visits++
-	} else {
-		w.ControlVisits++
-	}
+	vc.sh.visits++
 	if n.readyPending {
 		n.readyPending = false
-		if vc.deferred {
-			vc.sh.ready++
-		} else {
-			w.ReadySessions++
-		}
+		vc.sh.ready++
 		if n.readyLogged {
 			n.readyLogged = false // already emitted from the playback lane
 		} else {
@@ -434,7 +396,7 @@ func (w *World) controlVisit(vc *vctx, n *Node, now sim.Time) {
 	w.gossipStep(vc, n, now)
 	switch n.State {
 	case StateJoining:
-		w.tryInitialSubscription(vc, n, now)
+		w.tryInitialSubscription(vc, n)
 	case StateSubscribing, StateReady:
 		adv := n.advFlag
 		n.advFlag = false
@@ -447,18 +409,15 @@ func (w *World) controlVisit(vc *vctx, n *Node, now sim.Time) {
 		// parent set (hint, see refreshBMs), a re-parented sub-stream
 		// re-evaluates immediately (filled), and membership changes from
 		// outside the visit zero adaptDue via touchNode. Skipping the
-		// evaluation otherwise is behaviour-preserving. The full sweep
-		// evaluates unconditionally, as the seed engine did.
-		if !w.wheelOn() || adv || hint || filled || n.adaptDue <= now {
+		// evaluation otherwise is behaviour-preserving.
+		if adv || hint || filled || n.adaptDue <= now {
 			w.adapt(vc, n, now)
-			if w.wheelOn() {
-				n.adaptDue = w.adaptEvalBound(n, now)
-			}
+			n.adaptDue = w.adaptEvalBound(n, now)
 		}
 	}
 	w.maintainPartners(vc, n, now)
 	w.stallCheck(vc, n, now)
-	if n.State == StateDeparted || vc.abandoned {
+	if vc.abandoned {
 		return // abandoned mid-interval: the bad report is censored
 	}
 	w.statusReports(vc, n, now)
@@ -506,23 +465,12 @@ func (w *World) refreshBMs(vc *vctx, n *Node, now sim.Time) (evalHint bool) {
 			// is torn down, and any sub-stream served by the corpse is
 			// marked stalled. delPartner shifts the slice left, so i
 			// stays put. The local half (our own partner set) applies
-			// at once even in deferred mode — only this node reads it;
-			// the corpse-side child detach defers.
+			// at once — only this node reads it; the sub-stream detach
+			// and the corpse-side child registry defer.
 			evalHint = true
 			n.delPartner(pid)
 			n.partnerChanges++
-			if vc.deferred {
-				vc.emitCrash(n, pid)
-			} else {
-				for j := range n.Subs {
-					if n.Subs[j].Parent == pid {
-						partner.removeChild(j, n.ID)
-						n.Subs[j].Parent = NoParent
-						n.Subs[j].RateBps = 0
-					}
-				}
-				w.reclaimCorpseChildren(partner)
-			}
+			vc.emitCrash(n, pid)
 			continue
 		}
 		if w.P.ControlLossProb > 0 && n.rng.Bool(w.P.ControlLossProb) {
@@ -565,26 +513,18 @@ func (w *World) refreshBMs(vc *vctx, n *Node, now sim.Time) (evalHint bool) {
 // gossipStep merges membership knowledge with one random partner. The
 // partner choice draws from n's own RNG at visit time; the exchange
 // itself (which draws from the *partner's* mCache RNG and mutates both
-// caches) defers to the barrier in deferred mode so the partner's
-// streams advance in canonical order.
+// caches) defers to the barrier so the partner's streams advance in
+// canonical order.
 func (w *World) gossipStep(vc *vctx, n *Node, now sim.Time) {
 	if now-n.lastGossipAt < w.P.GossipPeriod || len(n.Partners) == 0 {
 		return
 	}
 	n.lastGossipAt = now
 	pid := n.pickRandomPartner()
-	partner := w.nodes[pid]
-	if partner.State == StateDeparted {
+	if w.nodes[pid].State == StateDeparted {
 		return // detected and torn down at the next BM refresh
 	}
-	if vc.deferred {
-		vc.emitPar(pid, effGossip, int32(pid), 0, 0)
-		return
-	}
-	for _, e := range partner.MCache.Sample(4, n.ID, nil) {
-		n.MCache.Insert(e, now)
-	}
-	partner.MCache.Insert(w.bootEntry(n), now)
+	vc.emitPar(pid, effGossip, int32(pid), 0, 0)
 }
 
 func (n *Node) pickRandomPartner() int {
@@ -609,24 +549,17 @@ func (n *Node) bestPartnerH() (int64, bool) {
 
 // tryInitialSubscription implements §IV-A: once partners' BMs are
 // visible, choose the start position m - Tp and subscribe each
-// sub-stream to an eligible parent. In deferred mode the H rewrite and
-// the Joining→Subscribing transition commit at the barrier (remote
-// visits read our H through fillBufferMap); the subscribe decisions
-// are computed at visit time against the would-be start position.
-func (w *World) tryInitialSubscription(vc *vctx, n *Node, now sim.Time) {
+// sub-stream to an eligible parent. The H rewrite and the
+// Joining→Subscribing transition commit at the barrier (remote visits
+// read our H through fillBufferMap); the subscribe decisions are
+// computed at visit time against the would-be start position.
+func (w *World) tryInitialSubscription(vc *vctx, n *Node) {
 	best, ok := n.bestPartnerH()
 	if !ok || best <= w.P.Tp {
 		return // partners know nothing useful yet
 	}
 	start := float64(best - w.P.Tp)
-	if vc.deferred {
-		vc.emitPar(n.ID, effStartSub, 0, 0, start)
-	} else {
-		n.startPos = start
-		for j := range n.Subs {
-			n.Subs[j].H = start
-		}
-	}
+	vc.emitPar(n.ID, effStartSub, 0, 0, start)
 	got := 0
 	for j := range n.Subs {
 		if w.subscribe(vc, n, j, best, start) {
@@ -634,12 +567,7 @@ func (w *World) tryInitialSubscription(vc *vctx, n *Node, now sim.Time) {
 		}
 	}
 	if got > 0 {
-		if vc.deferred {
-			vc.emitPar(n.ID, effStartSub, 1, 0, start)
-		} else {
-			n.State = StateSubscribing
-			n.StartSubAt = now
-		}
+		vc.emitPar(n.ID, effStartSub, 1, 0, start)
 		w.vlog(vc, n, logsys.Record{Kind: logsys.KindStartSub})
 	}
 }
@@ -790,11 +718,7 @@ func (w *World) adapt(vc *vctx, n *Node, now sim.Time) {
 	}
 	w.subscribe(vc, n, worst, best, n.Subs[worst].H)
 	n.lastAdaptAt = now
-	if vc.deferred {
-		vc.sh.adapts++
-	} else {
-		w.Adaptations++
-	}
+	vc.sh.adapts++
 }
 
 // maintainPartners recruits replacements when the partner set shrinks
@@ -805,11 +729,7 @@ func (w *World) maintainPartners(vc *vctx, n *Node, now sim.Time) {
 	}
 	n.recruitingDue = now + 2*sim.Second
 	if n.MCache.Len() == 0 {
-		if vc.deferred {
-			vc.emit(effSchedule, 1, 0, w.P.BootstrapRTT, 0)
-		} else {
-			w.Engine.AfterCall(w.P.BootstrapRTT, w.bootstrapFn, sim.EvPayload{A: n.ID})
-		}
+		vc.emit(effSchedule, 1, 0, w.P.BootstrapRTT, 0)
 		return
 	}
 	w.recruit(vc, n)
@@ -840,15 +760,11 @@ func (w *World) stallCheck(vc *vctx, n *Node, now sim.Time) {
 		pTick = 1
 	}
 	if n.rng.Bool(pTick) {
-		if vc.deferred {
-			// The departure mutates shared membership state; it commits at
-			// the barrier. Mark the visit so the drain loop does not re-arm
-			// a node that has already decided to leave.
-			vc.abandoned = true
-			vc.emit(effAbandon, 0, 0, 0, 0)
-		} else {
-			w.abandonAndRejoin(n)
-		}
+		// The departure mutates shared membership state; it commits at
+		// the barrier. Mark the visit so the visit loop does not re-arm a
+		// node that has already decided to leave.
+		vc.abandoned = true
+		vc.emit(effAbandon, 0, 0, 0, 0)
 	}
 }
 
@@ -886,9 +802,5 @@ func (w *World) statusReports(vc *vctx, n *Node, now sim.Time) {
 	n.hot.missedBlocks, n.hot.totalBlocks = 0, 0
 	n.upBytes, n.downBytes = 0, 0
 	n.partnerChanges = 0
-	if vc.deferred {
-		vc.emit(effBootUpdate, int32(in+out), 0, 0, 0)
-	} else {
-		w.Boot.UpdatePartnerCount(n.ID, in+out)
-	}
+	vc.emit(effBootUpdate, int32(in+out), 0, 0, 0)
 }

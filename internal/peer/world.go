@@ -30,8 +30,8 @@ type World struct {
 	// shards partitions the world into per-core world shards (see
 	// shard.go): each owns its membership list, due-wheel, node arenas
 	// and free lists, log lane, effect outbox and counters. NewWorld
-	// starts at one shard — the legacy sequential engine, bit for bit;
-	// SetShards grows the partition before the first join.
+	// starts at one shard; SetShards grows the partition before the
+	// first join. Results are identical for every shard count.
 	shards  []*worldShard
 	nshards int
 	// memberEpoch counts membership mutations; mergedActive rebuilds
@@ -52,18 +52,10 @@ type World struct {
 	// effCur is the k-way merge cursor scratch (one slot per shard)
 	// shared by the sequential merge loops.
 	effCur []int
-	// ForceDeferredControl runs the deferred-effect control engine at
-	// one shard — the A/B hook proving the sharded digest is
-	// shard-count invariant (shards=1 deferred ≡ shards=N). Must be
-	// set before the first join.
-	ForceDeferredControl bool
-	// seqCtx is the sequential engine's visit context: deferred=false,
-	// so every vctx helper reduces to the legacy in-place behaviour.
-	seqCtx vctx
 	// shardVisitFn is the bound parallel stage of controlSharded;
 	// drainTargetFn/drainSourceFn are the bound parallel drain passes;
 	// tickNow stages the visit timestamp for them.
-	shardVisitFn func(lo, hi int)
+	shardVisitFn  func(lo, hi int)
 	drainTargetFn func(lo, hi int)
 	drainSourceFn func(lo, hi int)
 	tickNow       sim.Time
@@ -77,28 +69,19 @@ type World struct {
 	servers  []int // IDs of the server tier, in creation order (never departs)
 	sessions int
 
-	// draining/drainIdx/drainPos are the legacy (single-shard) control
-	// drain's cursor state; see touchNode.
-	draining bool
-	drainIdx int
-	drainPos int
-	// FullSweepControl disables the due wheel and restores the legacy
-	// O(population) per-tick control sweep — the A/B switch for the
-	// determinism property tests and scaling benchmarks. Must be set
-	// before the first join is scheduled, and is incompatible with
-	// more than one shard.
-	FullSweepControl bool
-
 	// controlClock/ControlNanos optionally meter wall time spent in the
-	// control phase (enabled by benchmarks via MeterControl).
-	// ControlVisits counts controlVisit invocations regardless of the
-	// clock — the wheel-vs-sweep work ratio in one number. phaseClock
+	// control phase (enabled by benchmarks via MeterControl). phaseClock
 	// and Phases extend the metering to every tick phase (MeterPhases).
-	controlClock  bool
-	ControlNanos  int64
+	controlClock bool
+	ControlNanos int64
+	phaseClock   bool
+	Phases       PhaseNanos
+	// ControlVisits counts controlVisit invocations — the due wheel's
+	// work in one number. Like ReadySessions and Adaptations below it is
+	// a barrier-folded total: visits count on their shard and fold here
+	// once per tick (foldCounters), so a mid-run read sees every tick
+	// completed so far and never a partial one.
 	ControlVisits int64
-	phaseClock    bool
-	Phases        PhaseNanos
 
 	// labelBuf is the reusable node-RNG label encoder buffer
 	// ("node-<id>" without fmt).
@@ -140,10 +123,10 @@ type World struct {
 	// sharded is non-nil when the configured sink is a
 	// logsys.ShardedSink; parallel phases then log straight into
 	// per-shard lanes (laneSinks, grown sequentially in tick) instead
-	// of deferring records to the sequential control phase. With any
-	// other sink the legacy deferral path keeps the record stream
-	// deterministic (e.g. through a BufferedSink's outage queue, whose
-	// drop decisions depend on arrival order).
+	// of deferring records to the control phase's record lanes. With
+	// any other sink the deferral keeps the record stream deterministic
+	// (e.g. through a BufferedSink's outage queue, whose drop decisions
+	// depend on arrival order).
 	sharded   *logsys.ShardedSink
 	laneSinks []*logsys.Lane
 
@@ -160,24 +143,21 @@ type World struct {
 	// labelPhases wraps every phase worker in a pprof phase label so
 	// CPU profiles attribute samples by tick phase (LabelPhases).
 	labelPhases bool
-	tickIDs    []int
-	controlIDs []int
-	tickDt     float64
-	tickLive   float64
+	tickIDs     []int
+	tickDt      float64
+	tickLive    float64
 	// tickLoss is this tick's burst-loss fraction, staged once per tick
 	// from the fault schedule so the parallel advance shards read a
 	// plain float. Zero whenever faults are off or no window is active.
 	tickLoss float64
 	// advFlagShards collects, per playback shard, the IDs whose
 	// Inequality (1) deviation crossed Ts this tick with the adaptation
-	// cool-down expired (wheel mode only); controlWheel merges the lists
-	// into the drain set so the flagged nodes are visited this same
-	// tick. tickAdaptCut/tickTsF stage the cool-down cut-off and the Ts
+	// cool-down expired; controlSharded merges the lists into the due
+	// set so the flagged nodes are visited this same tick. tickAdaptCut/tickTsF stage the cool-down cut-off and the Ts
 	// threshold as plain values the parallel shards can read.
 	advFlagShards [][]int32
 	tickAdaptCut  sim.Time
 	tickTsF       float64
-
 
 	// StallContinuity/StallAbandonProb model frustrated users: a Ready
 	// node whose report-interval continuity falls below the threshold
@@ -189,13 +169,16 @@ type World struct {
 	// ungraceful (no TCP teardown): partners and children discover it
 	// only through failed BM exchanges and Inequality (1) lag.
 	CrashProb float64
-	// Counters for experiment summaries.
+	// Counters for experiment summaries. ReadySessions is
+	// barrier-folded (see ControlVisits); the others move in sequential
+	// phases only.
 	JoinedSessions  int
 	FailedSessions  int
 	ReadySessions   int
 	AbandonSessions int
 	// Adaptations counts parent switches triggered by the §IV-B
 	// inequalities (the overlay's self-repair work rate).
+	// Barrier-folded, see ControlVisits.
 	Adaptations int
 }
 
@@ -242,7 +225,6 @@ func NewWorld(p Params, engine *sim.Engine, sink logsys.Sink, latency netmodel.L
 	w.shards = []*worldShard{w.newShard(0)}
 	w.nshards = 1
 	w.effCur = make([]int, 1)
-	w.seqCtx = vctx{w: w, sh: w.shards[0], deferred: false}
 	if ss, ok := sink.(*logsys.ShardedSink); ok {
 		w.sharded = ss
 	}
@@ -781,7 +763,13 @@ func (w *World) bootstrapReply(n *Node) {
 	for _, e := range w.Boot.Candidates(n.ID, w.P.BootstrapCandidates) {
 		n.MCache.Insert(e, now)
 	}
-	w.recruit(&w.seqCtx, n)
+	// Event time is a sequential phase: recruit through the shard's
+	// visit context like a control visit would, and commit the
+	// handshake effects at once instead of at the next barrier.
+	sh := w.shardOf(n)
+	sh.vc.beginVisit(n)
+	w.recruit(&sh.vc, n)
+	w.commitEventEffects(sh)
 }
 
 // recruit attempts partnership establishment towards mCache samples
@@ -807,7 +795,7 @@ func (w *World) recruit(vc *vctx, n *Node) {
 // the scheduled probability before the handshake is even sent (the
 // paper's NAT-blocked connections). All RNG draws use n's own stream
 // and the reads are frozen state (EP classes, the latency hash), so
-// the attempt runs safely inside a deferred visit — only the engine
+// the attempt runs safely inside a parallel visit — only the engine
 // event and the shared fault counter defer.
 func (w *World) attemptPartnership(vc *vctx, n *Node, targetID int) {
 	if w.Faults != nil && w.Faults.Cfg.NATRefusalProb > 0 {
@@ -815,11 +803,7 @@ func (w *World) attemptPartnership(vc *vctx, n *Node, targetID int) {
 		natSide := n.EP.Class == netmodel.NAT ||
 			(target != nil && target.EP.Class == netmodel.NAT)
 		if natSide && n.rng.Bool(w.Faults.Cfg.NATRefusalProb) {
-			if vc.deferred {
-				vc.sh.natRefusals++
-			} else {
-				w.Faults.Stats.NATRefusals++
-			}
+			vc.sh.natRefusals++
 			n.MCache.Remove(targetID)
 			return
 		}
@@ -831,11 +815,7 @@ func (w *World) attemptPartnership(vc *vctx, n *Node, targetID int) {
 		// normal recruiting cadence.
 		return
 	}
-	if vc.deferred {
-		vc.emit(effSchedule, 2, int32(targetID), rtt, u)
-		return
-	}
-	w.Engine.AfterCall(rtt, w.partnershipFn, sim.EvPayload{A: n.ID, B: targetID, F: u})
+	vc.emit(effSchedule, 2, int32(targetID), rtt, u)
 }
 
 // completePartnership finishes the handshake one RTT after the attempt:
