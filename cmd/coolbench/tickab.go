@@ -31,12 +31,20 @@ import (
 // `ticks` engine ticks for every variant in every round), so
 // per-round comparisons always face identical due-wheel and
 // BM-refresh populations.
+//
+// Memory rides along: mallocs_per_tick is the runtime's malloc count
+// across each measurement window — the settled tick is meant to make
+// none — and heap_bytes_per_peer is a world's share of the post-GC
+// live heap over its active peers, taken after the last round (when
+// its mCaches and due-wheels have been through every window) by
+// dropping the worlds one at a time.
 
 // tickabSample is one measurement window of one variant.
 type tickabSample struct {
-	wallNs int64
-	phases peer.PhaseNanos
-	visits int64
+	wallNs  int64
+	phases  peer.PhaseNanos
+	visits  int64
+	mallocs uint64
 }
 
 // tickabVariantOut is the per-variant block of the JSON report.
@@ -52,6 +60,8 @@ type tickabVariantOut struct {
 	DrainShare      float64          `json:"drain_share"`
 	VisitsPerTick   float64          `json:"visits_per_tick"`
 	ActivePeers     int              `json:"active_peers"`
+	HeapPerPeer     float64          `json:"heap_bytes_per_peer"`
+	MallocsPerTick  float64          `json:"mallocs_per_tick"`
 }
 
 type tickabOut struct {
@@ -84,6 +94,8 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 		w       *peer.World
 		engine  *sim.Engine
 		samples []tickabSample
+		active  int
+		heap    uint64
 	}
 	variants := make([]*variant, 0, len(shardCounts))
 	for _, s := range shardCounts {
@@ -97,6 +109,8 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 	}
 
 	window := func(v *variant) tickabSample {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
 		ph0, vis0 := v.w.PhaseStats(), v.w.ControlVisits
 		t0 := time.Now()
 		for i := 0; i < ticks; i++ {
@@ -104,8 +118,10 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 		}
 		wall := time.Since(t0).Nanoseconds()
 		ph1 := v.w.PhaseStats()
+		runtime.ReadMemStats(&ms1)
 		return tickabSample{
-			wallNs: wall,
+			mallocs: ms1.Mallocs - ms0.Mallocs,
+			wallNs:  wall,
 			phases: peer.PhaseNanos{
 				Allocate: ph1.Allocate - ph0.Allocate,
 				Advance:  ph1.Advance - ph0.Advance,
@@ -131,6 +147,20 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 			fmt.Fprintf(os.Stderr, "# round %d shards=%d: %.1f ms/tick\n",
 				r+1, v.shards, float64(s.wallNs)/float64(ticks)/1e6)
 		}
+	}
+
+	liveHeap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	live := liveHeap()
+	for _, v := range variants {
+		v.active = v.w.ActivePeerCount()
+		v.w, v.engine = nil, nil
+		rest := liveHeap()
+		v.heap, live = live-rest, rest
 	}
 
 	median := func(xs []float64) float64 {
@@ -159,7 +189,8 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 	t := &metrics.Table{
 		Title: "tick A/B — interleaved windows, median over rounds",
 		Header: []string{"shards", "ms_per_tick", "spread", "alloc_ms", "advance_ms",
-			"playback_ms", "control_ms", "drain_ms", "merge_ms", "merge_share", "visits"},
+			"playback_ms", "control_ms", "drain_ms", "merge_ms", "merge_share", "visits",
+			"heap_B_per_peer", "mallocs_per_tick"},
 	}
 	for _, v := range variants {
 		walls := collect(v, func(s tickabSample) float64 { return float64(s.wallNs) })
@@ -184,6 +215,7 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 		drain := phase(func(p peer.PhaseNanos) int64 { return p.Drain })
 		merge := phase(func(p peer.PhaseNanos) int64 { return p.Merge })
 		visits := median(collect(v, func(s tickabSample) float64 { return float64(s.visits) }))
+		mallocs := median(collect(v, func(s tickabSample) float64 { return float64(s.mallocs) }))
 		spread := 0.0
 		if med > 0 {
 			spread = (max - min) / med
@@ -200,17 +232,19 @@ func tickabBench(peers int, shardsCSV string, rounds, ticks int, jsonPath string
 				"playback": int64(playback), "account": int64(account),
 				"control": int64(control), "drain": int64(drain), "merge": int64(merge),
 			},
-			VisitsPerTick: visits,
-			ActivePeers:   v.w.ActivePeerCount(),
+			VisitsPerTick:  visits,
+			ActivePeers:    v.active,
+			HeapPerPeer:    float64(v.heap) / float64(v.active),
+			MallocsPerTick: mallocs,
 		}
 		if med > 0 {
 			vo.MergeShare = merge / med
 			vo.DrainShare = drain / med
 		}
 		out.Variants = append(out.Variants, vo)
-		t.AddRowf("%d\t%.1f\t±%.0f%%\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.4f\t%.0f",
+		t.AddRowf("%d\t%.1f\t±%.0f%%\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t%.4f\t%.0f\t%.0f\t%.1f",
 			v.shards, med/1e6, spread*100/2, alloc/1e6, advance/1e6, playback/1e6,
-			control/1e6, drain/1e6, merge/1e6, vo.MergeShare, visits)
+			control/1e6, drain/1e6, merge/1e6, vo.MergeShare, visits, vo.HeapPerPeer, mallocs)
 	}
 	t.Render(os.Stdout)
 	fmt.Println()

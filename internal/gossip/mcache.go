@@ -29,11 +29,18 @@ type Entry struct {
 	PartnerCount int
 }
 
+// View is the read-only window a Policy gets onto a full cache: the
+// entry count and each entry's join time, in slot order.
+type View interface {
+	Len() int
+	JoinedAt(i int) sim.Time
+}
+
 // Policy selects which entry a full cache evicts.
 type Policy interface {
-	// Evict returns the index in entries to replace when inserting
-	// incoming at time now. entries is non-empty.
-	Evict(entries []Entry, incoming Entry, now sim.Time, r *xrand.RNG) int
+	// Evict returns the slot index in v to replace when inserting
+	// incoming at time now. v is non-empty.
+	Evict(v View, incoming Entry, now sim.Time, r *xrand.RNG) int
 	// Name identifies the policy in logs and experiment tables.
 	Name() string
 }
@@ -43,8 +50,8 @@ type Policy interface {
 type RandomReplace struct{}
 
 // Evict implements Policy.
-func (RandomReplace) Evict(entries []Entry, _ Entry, _ sim.Time, r *xrand.RNG) int {
-	return r.Intn(len(entries))
+func (RandomReplace) Evict(v View, _ Entry, _ sim.Time, r *xrand.RNG) int {
+	return r.Intn(v.Len())
 }
 
 // Name implements Policy.
@@ -56,11 +63,11 @@ func (RandomReplace) Name() string { return "random" }
 type StabilityAware struct{}
 
 // Evict implements Policy.
-func (StabilityAware) Evict(entries []Entry, _ Entry, _ sim.Time, _ *xrand.RNG) int {
-	youngest := 0
-	for i, e := range entries {
-		if e.JoinedAt > entries[youngest].JoinedAt {
-			youngest = i
+func (StabilityAware) Evict(v View, _ Entry, _ sim.Time, _ *xrand.RNG) int {
+	youngest, at := 0, v.JoinedAt(0)
+	for i := 1; i < v.Len(); i++ {
+		if t := v.JoinedAt(i); t > at {
+			youngest, at = i, t
 		}
 	}
 	return youngest
@@ -69,134 +76,191 @@ func (StabilityAware) Evict(entries []Entry, _ Entry, _ sim.Time, _ *xrand.RNG) 
 // Name implements Policy.
 func (StabilityAware) Name() string { return "stability" }
 
-// MCache is a bounded partial view of the overlay.
-type MCache struct {
-	capacity int
-	policy   Policy
-	rng      *xrand.RNG
-	entries  []Entry
-	index    map[int]int // peer ID → position in entries
+// MaxCapacity bounds an mCache's capacity: Sample keeps its candidate
+// slot indices in a stack array of this many uint8 positions, so a
+// larger cache could not be sampled without narrowing an index.
+const MaxCapacity = 255
 
-	// candScratch and outScratch are reused across Sample calls so the
-	// per-tick gossip step allocates nothing at steady state.
-	candScratch []int
-	outScratch  []Entry
+// MaxPartnerCount is the largest Entry.PartnerCount a Slot holds.
+const MaxPartnerCount = 1<<15 - 1
+
+// Slot is the packed storage form of one Entry: 24 bytes against the
+// Entry's 40, lossless for every value Insert accepts. Its fields are
+// private; the type is exported so an owner of many caches can carve
+// their fixed-length slot runs out of one slab (see MCache.Init).
+type Slot struct {
+	joinedAt     int64
+	lastSeen     int64
+	id           int32
+	partnerCount int16
+	class        uint8 // netmodel.UserClass is a uint8: never narrowed
+}
+
+// pack narrows e into a Slot. An ID outside int32 or a partner count
+// outside int16 cannot be stored losslessly and is a programming
+// error, like a capacity out of range.
+func pack(e Entry) Slot {
+	if e.ID != int(int32(e.ID)) {
+		panic("gossip: mCache entry ID outside int32")
+	}
+	if e.PartnerCount != int(int16(e.PartnerCount)) {
+		panic("gossip: mCache entry PartnerCount outside int16")
+	}
+	return Slot{
+		joinedAt:     int64(e.JoinedAt),
+		lastSeen:     int64(e.LastSeen),
+		id:           int32(e.ID),
+		partnerCount: int16(e.PartnerCount),
+		class:        uint8(e.Class),
+	}
+}
+
+func (s *Slot) entry() Entry {
+	return Entry{
+		ID:           int(s.id),
+		Class:        netmodel.UserClass(s.class),
+		JoinedAt:     sim.Time(s.joinedAt),
+		LastSeen:     sim.Time(s.lastSeen),
+		PartnerCount: int(s.partnerCount),
+	}
+}
+
+// MCache is a bounded partial view of the overlay. Entries live in a
+// fixed run of packed slots (len = entries held, cap = capacity) in
+// arrival order: an insert appends, a refresh or an eviction overwrites
+// in place, a removal moves the last slot into the hole. Lookups scan
+// the run: at the paper's 60 entries that is 1.4 kB of contiguous,
+// pointer-free memory.
+type MCache struct {
+	slots  []Slot
+	policy Policy
+	rng    xrand.RNG
 }
 
 // NewMCache creates a cache with the given capacity and replacement
-// policy. It panics on non-positive capacity or nil inputs, which are
-// programming errors.
+// policy, drawing from a copy of rng's stream. It panics on a capacity
+// outside [1, MaxCapacity] or nil inputs, which are programming errors.
 func NewMCache(capacity int, policy Policy, rng *xrand.RNG) *MCache {
-	if capacity <= 0 {
-		panic("gossip: non-positive mCache capacity")
+	if capacity <= 0 || capacity > MaxCapacity {
+		panic("gossip: mCache capacity outside [1, MaxCapacity]")
 	}
-	if policy == nil || rng == nil {
-		panic("gossip: nil policy or rng")
+	if rng == nil {
+		panic("gossip: nil mCache rng")
 	}
-	return &MCache{
-		capacity: capacity,
-		policy:   policy,
-		rng:      rng,
-		index:    make(map[int]int),
+	c := new(MCache)
+	c.Init(make([]Slot, capacity), policy, *rng)
+	return c
+}
+
+// Init makes c an empty cache whose capacity is len(backing), stored in
+// backing, with the given policy and RNG stream — NewMCache for callers
+// that carve headers and slot runs from their own slabs. It panics
+// where NewMCache would.
+func (c *MCache) Init(backing []Slot, policy Policy, stream xrand.RNG) {
+	if len(backing) == 0 || len(backing) > MaxCapacity {
+		panic("gossip: mCache capacity outside [1, MaxCapacity]")
 	}
+	if policy == nil {
+		panic("gossip: nil mCache policy")
+	}
+	*c = MCache{slots: backing[:0:len(backing)], policy: policy, rng: stream}
 }
 
 // Reset empties the cache in place and replaces its RNG stream with
-// the given state, keeping every backing allocation (entry slice,
-// index map buckets, scratch) — the recycling path for node shells:
-// a Reset cache behaves exactly like a NewMCache built with an RNG in
-// that state.
+// the given state, keeping its slot run — the recycling path for node
+// shells: a Reset cache behaves exactly like a NewMCache built with an
+// RNG in that state.
 func (c *MCache) Reset(stream xrand.RNG) {
-	*c.rng = stream
-	c.entries = c.entries[:0]
-	for k := range c.index {
-		delete(c.index, k)
-	}
+	c.rng = stream
+	c.slots = c.slots[:0]
 }
 
 // Len returns the number of cached entries.
-func (c *MCache) Len() int { return len(c.entries) }
+func (c *MCache) Len() int { return len(c.slots) }
 
 // Capacity returns the maximum number of entries.
-func (c *MCache) Capacity() int { return c.capacity }
+func (c *MCache) Capacity() int { return cap(c.slots) }
+
+// JoinedAt returns the join time of the entry in slot i; with Len it
+// makes the cache the View its policy evicts from.
+func (c *MCache) JoinedAt(i int) sim.Time { return sim.Time(c.slots[i].joinedAt) }
+
+// find returns the slot holding peer id, or -1.
+func (c *MCache) find(id int) int {
+	for i := range c.slots {
+		if int(c.slots[i].id) == id {
+			return i
+		}
+	}
+	return -1
+}
 
 // Insert adds or refreshes an entry. A known peer's record is updated
 // in place; a new peer either fills spare capacity or displaces the
-// policy's eviction choice.
+// policy's eviction choice. It panics on an entry a Slot cannot hold
+// (see pack).
 func (c *MCache) Insert(e Entry, now sim.Time) {
 	e.LastSeen = now
-	if pos, ok := c.index[e.ID]; ok {
-		c.entries[pos] = e
+	s := pack(e)
+	if i := c.find(e.ID); i >= 0 {
+		c.slots[i] = s
 		return
 	}
-	if len(c.entries) < c.capacity {
-		c.index[e.ID] = len(c.entries)
-		c.entries = append(c.entries, e)
+	if len(c.slots) < cap(c.slots) {
+		c.slots = append(c.slots, s)
 		return
 	}
-	victim := c.policy.Evict(c.entries, e, now, c.rng)
-	delete(c.index, c.entries[victim].ID)
-	c.entries[victim] = e
-	c.index[e.ID] = victim
+	c.slots[c.policy.Evict(c, e, now, &c.rng)] = s
 }
 
 // Remove drops a peer from the cache if present (e.g. after a failed
 // connection attempt or an observed departure).
 func (c *MCache) Remove(id int) {
-	pos, ok := c.index[id]
-	if !ok {
+	i := c.find(id)
+	if i < 0 {
 		return
 	}
-	last := len(c.entries) - 1
-	delete(c.index, id)
-	if pos != last {
-		c.entries[pos] = c.entries[last]
-		c.index[c.entries[pos].ID] = pos
-	}
-	c.entries = c.entries[:last]
+	last := len(c.slots) - 1
+	c.slots[i] = c.slots[last]
+	c.slots = c.slots[:last]
 }
 
 // Contains reports whether the peer is cached.
-func (c *MCache) Contains(id int) bool {
-	_, ok := c.index[id]
-	return ok
-}
+func (c *MCache) Contains(id int) bool { return c.find(id) >= 0 }
 
-// Sample returns up to n distinct entries chosen uniformly at random.
-// The peer `self` is always excluded (pass a negative ID to exclude
-// nothing), as is every ID in excludeIDs, which must be sorted
-// ascending — callers typically pass their partner-ID slice, so the
-// hot gossip/recruit paths build no per-call exclusion set.
+// Sample appends to dst up to n distinct entries chosen uniformly at
+// random and returns the extended slice. The peer `self` is always
+// excluded (pass a negative ID to exclude nothing), as is every ID in
+// excludeIDs, which must be sorted ascending — callers typically pass
+// their partner-ID slice, so the hot gossip/recruit paths build no
+// per-call exclusion set.
 //
-// The returned slice is scratch owned by the cache: it is valid only
-// until the next Sample call and must not be retained.
-func (c *MCache) Sample(n int, self int, excludeIDs []int) []Entry {
+// The cache keeps no scratch: candidate indices live on the stack and
+// the entries are unpacked straight into dst, so a dst with room for n
+// more entries makes the call allocation-free and the result is the
+// caller's to keep.
+func (c *MCache) Sample(dst []Entry, n int, self int, excludeIDs []int) []Entry {
 	if n <= 0 {
-		return nil
+		return dst
 	}
-	c.candScratch = c.candScratch[:0]
-	for i := range c.entries {
-		id := c.entries[i].ID
+	var cand [MaxCapacity]uint8
+	m := 0
+	for i := range c.slots {
+		id := int(c.slots[i].id)
 		if id == self || containsSorted(excludeIDs, id) {
 			continue
 		}
-		c.candScratch = append(c.candScratch, i)
+		cand[m] = uint8(i)
+		m++
 	}
-	candidates := c.candScratch
-	c.rng.Shuffle(len(candidates), func(i, j int) {
-		candidates[i], candidates[j] = candidates[j], candidates[i]
-	})
-	if n > len(candidates) {
-		n = len(candidates)
+	c.rng.Shuffle(m, func(i, j int) { cand[i], cand[j] = cand[j], cand[i] })
+	if n > m {
+		n = m
 	}
-	if n == 0 {
-		return nil
+	for _, i := range cand[:n] {
+		dst = append(dst, c.slots[i].entry())
 	}
-	c.outScratch = c.outScratch[:0]
-	for i := 0; i < n; i++ {
-		c.outScratch = append(c.outScratch, c.entries[candidates[i]])
-	}
-	return c.outScratch
+	return dst
 }
 
 // containsSorted reports whether id occurs in the ascending slice ids.
@@ -208,7 +272,10 @@ func containsSorted(ids []int, id int) bool {
 // Snapshot returns a copy of all entries sorted by peer ID (for
 // deterministic iteration in metrics and tests).
 func (c *MCache) Snapshot() []Entry {
-	out := append([]Entry(nil), c.entries...)
+	out := make([]Entry, len(c.slots))
+	for i := range c.slots {
+		out[i] = c.slots[i].entry()
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }

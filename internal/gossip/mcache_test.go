@@ -1,8 +1,10 @@
 package gossip
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"coolstream/internal/netmodel"
 	"coolstream/internal/sim"
@@ -118,7 +120,7 @@ func TestMCacheSample(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Insert(entry(i), 0)
 	}
-	s := c.Sample(5, -1, nil)
+	s := c.Sample(nil, 5, -1, nil)
 	if len(s) != 5 {
 		t.Fatalf("sample size %d", len(s))
 	}
@@ -131,7 +133,7 @@ func TestMCacheSample(t *testing.T) {
 	}
 	// Exclusion respected: self plus a sorted exclude slice.
 	excl := []int{1, 2}
-	s = c.Sample(10, 0, excl)
+	s = c.Sample(s[:0], 10, 0, excl)
 	if len(s) != 7 {
 		t.Fatalf("excluded sample size %d, want 7", len(s))
 	}
@@ -140,22 +142,32 @@ func TestMCacheSample(t *testing.T) {
 			t.Fatal("sample included excluded peer")
 		}
 	}
-	if c.Sample(0, -1, nil) != nil {
+	if c.Sample(nil, 0, -1, nil) != nil {
 		t.Fatal("zero sample not nil")
 	}
-	// The result is scratch reused by the next call: copy what must
-	// survive. Two back-to-back samples must still be internally valid.
-	a := c.Sample(3, -1, nil)
+	// Sample appends: the result is the caller's, and a second sample
+	// extends dst without disturbing what the first put there.
+	a := c.Sample(nil, 3, -1, nil)
 	ids := []int{a[0].ID, a[1].ID, a[2].ID}
-	b := c.Sample(3, -1, nil)
-	if len(b) != 3 {
+	b := c.Sample(a, 3, -1, nil)
+	if len(b) != 6 {
 		t.Fatalf("second sample size %d", len(b))
 	}
-	_ = ids
+	for i, id := range ids {
+		if b[i].ID != id {
+			t.Fatalf("second sample overwrote entry %d of the first", i)
+		}
+	}
 }
 
+// entryView presents a materialised entry slice as a Policy View.
+type entryView []Entry
+
+func (v entryView) Len() int                { return len(v) }
+func (v entryView) JoinedAt(i int) sim.Time { return v[i].JoinedAt }
+
 func TestStabilityAwareEvictsYoungest(t *testing.T) {
-	entries := []Entry{
+	entries := entryView{
 		{ID: 1, JoinedAt: 100 * sim.Second},
 		{ID: 2, JoinedAt: 500 * sim.Second}, // youngest
 		{ID: 3, JoinedAt: 50 * sim.Second},
@@ -228,5 +240,72 @@ func TestNewMCachePanics(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+func TestMaxCapacityCacheSamplesEverySlot(t *testing.T) {
+	c := newTestCache(MaxCapacity)
+	for i := 0; i < MaxCapacity+40; i++ {
+		c.Insert(entry(i), 0)
+	}
+	if c.Len() != MaxCapacity || c.Capacity() != MaxCapacity {
+		t.Fatalf("len %d cap %d", c.Len(), c.Capacity())
+	}
+	s := c.Sample(nil, MaxCapacity+1, -1, nil)
+	if len(s) != MaxCapacity {
+		t.Fatalf("sampled %d of %d", len(s), MaxCapacity)
+	}
+	seen := map[int]bool{}
+	for _, e := range s {
+		if seen[e.ID] || !c.Contains(e.ID) {
+			t.Fatalf("sample entry %d duplicated or not cached", e.ID)
+		}
+		seen[e.ID] = true
+	}
+}
+
+// TestInsertRejectsUnpackableEntries: narrowing is never silent — an
+// entry the 24-byte slot cannot hold losslessly panics, and the extreme
+// values it can hold round-trip. Class needs no check: UserClass is a
+// uint8, the slot's own width.
+func TestInsertRejectsUnpackableEntries(t *testing.T) {
+	for name, e := range map[string]Entry{
+		"id above int32":            {ID: math.MaxInt32 + 1},
+		"id below int32":            {ID: math.MinInt32 - 1},
+		"partner count above int16": {ID: 1, PartnerCount: MaxPartnerCount + 1},
+		"partner count below int16": {ID: 1, PartnerCount: math.MinInt16 - 1},
+	} {
+		func() {
+			c := newTestCache(2)
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Insert did not panic", name)
+				}
+				if c.Len() != 0 {
+					t.Errorf("%s: rejected entry was stored", name)
+				}
+			}()
+			c.Insert(e, 0)
+		}()
+	}
+	c := newTestCache(2)
+	lo := Entry{ID: math.MinInt32, Class: 255, JoinedAt: math.MinInt64, PartnerCount: math.MinInt16}
+	hi := Entry{ID: math.MaxInt32, Class: 0, JoinedAt: math.MaxInt64, PartnerCount: MaxPartnerCount}
+	c.Insert(lo, math.MinInt64)
+	c.Insert(hi, math.MaxInt64)
+	lo.LastSeen, hi.LastSeen = math.MinInt64, math.MaxInt64
+	if snap := c.Snapshot(); snap[0] != lo || snap[1] != hi {
+		t.Fatalf("extreme entries did not round-trip: %+v", snap)
+	}
+}
+
+// TestFullCacheFootprint pins the acceptance bound: a full Table I
+// cache — header plus 60 packed slots — stays under 1,600 bytes.
+func TestFullCacheFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Slot{}); got > 24 {
+		t.Fatalf("slot is %d bytes, want ≤ 24", got)
+	}
+	if got := unsafe.Sizeof(MCache{}) + 60*unsafe.Sizeof(Slot{}); got > 1600 {
+		t.Fatalf("full 60-entry cache is %d bytes, want ≤ 1600", got)
 	}
 }

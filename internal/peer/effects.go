@@ -297,9 +297,9 @@ const gossipSampleN = 4
 // gossipReply carries the sampled entries of one deferred gossip
 // exchange from the partner's shard (which owns the partner's mCache
 // and its RNG stream) back to the source's shard, which inserts them
-// into the source's mCache in the second drain pass. The entries are
-// copied out immediately because MCache.Sample returns scratch that
-// the next Sample on the same cache reuses.
+// into the source's mCache in the second drain pass. MCache.Sample
+// appends straight into ents — the reply owns its entries, the cache
+// keeps no scratch.
 type gossipReply struct {
 	src, seq int32
 	n        int32
@@ -466,10 +466,7 @@ func (w *World) applyTargetEffect(t *worldShard, e effect, now sim.Time) {
 			return
 		}
 		r := gossipReply{src: e.src, seq: e.seq}
-		for _, en := range partner.MCache.Sample(gossipSampleN, int(e.src), nil) {
-			r.ents[r.n] = en
-			r.n++
-		}
+		r.n = int32(len(partner.MCache.Sample(r.ents[:0], gossipSampleN, int(e.src), nil)))
 		si := int(src.shard)
 		t.gossipOut[si] = append(t.gossipOut[si], r)
 		partner.MCache.Insert(w.bootEntry(src), now)

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"coolstream/internal/buffer"
+	"coolstream/internal/gossip"
 	"coolstream/internal/sim"
 )
 
@@ -143,6 +144,11 @@ func (p Params) Validate() error {
 	if p.MaxPartners < 1 || p.MaxServerPartners < 1 {
 		return fmt.Errorf("peer: partner bounds %d/%d", p.MaxPartners, p.MaxServerPartners)
 	}
+	// mCache entries advertise a node's partner count in a packed slot.
+	if p.MaxPartners > gossip.MaxPartnerCount || p.MaxServerPartners > gossip.MaxPartnerCount {
+		return fmt.Errorf("peer: partner bounds %d/%d exceed the mCache slot's %d",
+			p.MaxPartners, p.MaxServerPartners, gossip.MaxPartnerCount)
+	}
 	if p.MinPartners < 1 || p.DesiredPartners < p.MinPartners || p.DesiredPartners > p.MaxPartners {
 		return fmt.Errorf("peer: partner targets min=%d desired=%d max=%d",
 			p.MinPartners, p.DesiredPartners, p.MaxPartners)
@@ -156,6 +162,9 @@ func (p Params) Validate() error {
 	if p.BootstrapCandidates < 1 || p.MCacheCapacity < p.BootstrapCandidates {
 		return fmt.Errorf("peer: mCache %d must hold bootstrap list %d",
 			p.MCacheCapacity, p.BootstrapCandidates)
+	}
+	if p.MCacheCapacity > gossip.MaxCapacity {
+		return fmt.Errorf("peer: mCache %d exceeds the %d-entry bound", p.MCacheCapacity, gossip.MaxCapacity)
 	}
 	if p.TraversalProb < 0 || p.TraversalProb > 1 {
 		return fmt.Errorf("peer: TraversalProb = %v", p.TraversalProb)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"coolstream/internal/buffer"
+	"coolstream/internal/gossip"
 	"coolstream/internal/sim"
 )
 
@@ -30,6 +31,9 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.JoinTimeout = 0 },
 		func(p *Params) { p.BootstrapCandidates = 0 },
 		func(p *Params) { p.MCacheCapacity = 1 },
+		func(p *Params) { p.MCacheCapacity = gossip.MaxCapacity + 1 },
+		func(p *Params) { p.MaxPartners = gossip.MaxPartnerCount + 1 },
+		func(p *Params) { p.MaxServerPartners = gossip.MaxPartnerCount + 1 },
 		func(p *Params) { p.TraversalProb = 1.5 },
 		func(p *Params) { p.Allocator = "alien" },
 		func(p *Params) { p.ControlLossProb = -0.5 },
@@ -41,6 +45,14 @@ func TestParamsValidateRejects(t *testing.T) {
 		if p.Validate() == nil {
 			t.Errorf("mutation %d validated", i)
 		}
+	}
+	// The bounds themselves are legal: the largest cache and partner
+	// caps the packed mCache slot can carry.
+	p := DefaultParams()
+	p.MCacheCapacity = gossip.MaxCapacity
+	p.MaxPartners, p.MaxServerPartners = gossip.MaxPartnerCount, gossip.MaxPartnerCount
+	if err := p.Validate(); err != nil {
+		t.Errorf("bounds rejected: %v", err)
 	}
 }
 

@@ -52,6 +52,8 @@ type worldShard struct {
 	subArena   []Subscription
 	childArena [][]int
 	hotArena   []nodeHot
+	mcArena    []gossip.MCache
+	mcSlab     []gossip.Slot
 	mapPool    []map[int]*Partner
 	intPool    [][]int
 	plistPool  [][]*Partner

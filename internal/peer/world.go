@@ -395,18 +395,32 @@ func (w *World) getPartnerMap(sh *worldShard) map[int]*Partner {
 
 // getMCache reissues a donated membership cache (reset in place, RNG
 // stream reseeded from the owner's labeled stream — behaviourally
-// identical to a fresh NewMCache) or builds a new one.
+// identical to a fresh NewMCache) or carves a new one from the shard's
+// chunked arenas: the header from mcArena, its MCacheCapacity-slot run
+// from mcSlab, one allocation each per nodeChunk sessions. A cache
+// keeps its run for life, so recycling through mcPool recycles both.
 func (w *World) getMCache(sh *worldShard, rng *xrand.RNG) *gossip.MCache {
+	var stream xrand.RNG
+	stream.ReseedLabeled(rng, "mcache")
 	if m := len(sh.mcPool); m > 0 {
 		mc := sh.mcPool[m-1]
 		sh.mcPool[m-1] = nil
 		sh.mcPool = sh.mcPool[:m-1]
-		var stream xrand.RNG
-		stream.ReseedLabeled(rng, "mcache")
 		mc.Reset(stream)
 		return mc
 	}
-	return gossip.NewMCache(w.P.MCacheCapacity, w.Policy, rng.SplitLabeled("mcache"))
+	c := w.P.MCacheCapacity
+	if len(sh.mcArena) == 0 {
+		sh.mcArena = make([]gossip.MCache, nodeChunk)
+	}
+	if len(sh.mcSlab) < c {
+		sh.mcSlab = make([]gossip.Slot, nodeChunk*c)
+	}
+	mc := &sh.mcArena[0]
+	sh.mcArena = sh.mcArena[1:]
+	mc.Init(sh.mcSlab[:c], w.Policy, stream)
+	sh.mcSlab = sh.mcSlab[c:]
+	return mc
 }
 
 // removeActive marks a departure for batched removal on the owner
@@ -783,8 +797,11 @@ func (w *World) recruit(vc *vctx, n *Node) {
 		return
 	}
 	// The sorted partner-ID slice doubles as the exclusion set — no
-	// per-call map needed.
-	for _, e := range n.MCache.Sample(want, n.ID, n.partnerIDs) {
+	// per-call map needed — and the sample lands in a stack buffer that
+	// covers the Table I partner bound (a larger want spills to the
+	// heap, nothing else changes).
+	var buf [8]gossip.Entry
+	for _, e := range n.MCache.Sample(buf[:0], want, n.ID, n.partnerIDs) {
 		w.attemptPartnership(vc, n, e.ID)
 	}
 }

@@ -23,16 +23,25 @@ package sim
 //     Callers that need exactly-once semantics deduplicate the drained
 //     set (it arrives bucket-ordered, not sorted).
 //
-// The wheel is deliberately value-oriented and allocation-light: bucket
-// storage and the drain output are reused across ticks, so a
-// steady-state schedule/drain cycle allocates nothing.
+// The wheel is deliberately value-oriented and allocation-light, and
+// its memory follows the occupied window, not the ring size: a drained
+// bucket hands its backing array to a spare stack and Schedule into a
+// bucket without backing pops one, so a population that only ever
+// schedules a few ticks ahead keeps a few backings circulating instead
+// of growing one per ring slot over a full revolution. Schedule
+// allocates only while that circulating set is still growing — the
+// window widened, or a bucket outgrew the backing it popped; the drain
+// output is the caller's slice.
 type Wheel struct {
 	tick Time
 	base Time // due time of buckets[cur]; earliest undrained tick
 	cur  int  // ring index of base
 	mask int  // len(buckets)-1; len is a power of two
 
+	// buckets[i] is nil while empty; spares stacks the emptied backings
+	// (most recently drained on top) for the next bucket that needs one.
 	buckets  [][]int32
+	spares   [][]int32
 	overflow []wheelEntry
 	// overflowMin is the smallest due time in overflow; meaningless
 	// when overflow is empty.
@@ -88,7 +97,13 @@ func (w *Wheel) Schedule(id int, at Time) {
 		return
 	}
 	idx := (w.cur + int(d)) & w.mask
-	w.buckets[idx] = append(w.buckets[idx], int32(id))
+	b := w.buckets[idx]
+	if m := len(w.spares); b == nil && m > 0 {
+		b = w.spares[m-1]
+		w.spares[m-1] = nil
+		w.spares = w.spares[:m-1]
+	}
+	w.buckets[idx] = append(b, int32(id))
 }
 
 // DrainTo appends to out every ID scheduled at or before now, advancing
@@ -96,9 +111,11 @@ func (w *Wheel) Schedule(id int, at Time) {
 // with duplicates preserved; callers sort/deduplicate as needed.
 func (w *Wheel) DrainTo(now Time, out []int32) []int32 {
 	for w.base <= now {
-		b := w.buckets[w.cur]
-		out = append(out, b...)
-		w.buckets[w.cur] = b[:0]
+		if b := w.buckets[w.cur]; b != nil {
+			out = append(out, b...)
+			w.spares = append(w.spares, b[:0])
+			w.buckets[w.cur] = nil
+		}
 		w.base += w.tick
 		w.cur = (w.cur + 1) & w.mask
 		w.refileOverflow()

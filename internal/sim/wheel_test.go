@@ -168,3 +168,61 @@ func TestWheelMatchesReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestWheelBackingsFollowWindow: a population that only ever schedules
+// one to five ticks ahead keeps the wheel's memory at its occupied
+// window for three full ring revolutions — bucket backings plus spares
+// never exceed window + 1, where the per-bucket backings this replaced
+// grew to one per ring slot — and every drain comes out in exactly the
+// order of a naive model: entries stably sorted by due tick.
+func TestWheelBackingsFollowWindow(t *testing.T) {
+	const window = 5
+	w := NewWheel(Second, 64, 0)
+	type due struct {
+		at Time
+		id int32
+	}
+	var model []due // schedule order; drained by a stable filter on at
+	rng := xrand.New(5)
+	nextID := int32(0)
+	var got []int32
+	for now := Time(0); now < Time(3*w.Span())*Second; now += Second {
+		got = w.DrainTo(now, got[:0])
+		var want []int32
+		kept := model[:0]
+		for _, d := range model {
+			if d.at <= now {
+				want = append(want, d.id)
+			} else {
+				kept = append(kept, d)
+			}
+		}
+		model = kept
+		if len(got) != len(want) {
+			t.Fatalf("tick %v: drained %v, model %v", now, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("tick %v: drained %v, model %v", now, got, want)
+			}
+		}
+		for k := 20 + rng.Intn(20); k > 0; k-- {
+			at := now + Time(1+rng.Intn(window))*Second
+			w.Schedule(int(nextID), at)
+			model = append(model, due{at, nextID})
+			nextID++
+		}
+		backings := len(w.spares)
+		for _, b := range w.buckets {
+			if b != nil {
+				backings++
+			}
+		}
+		if backings > window+1 {
+			t.Fatalf("tick %v: %d bucket backings + spares for a %d-tick window", now, backings, window)
+		}
+	}
+	if nextID == 0 || w.Pending() != len(model) {
+		t.Fatalf("pending %d, model %d", w.Pending(), len(model))
+	}
+}
