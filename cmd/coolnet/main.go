@@ -3,17 +3,15 @@
 // tracker of internal/netboot for discovery and the §IV-B adaptation
 // loop.
 //
-// The bootstrap role serves the production binary tracker on -tcp and
-// the legacy HTTP shim on -http, backed by one shared lease registry.
-// Peers pick the protocol by the -bootstrap scheme: tcp:// for the
-// binary tracker, http:// for the shim.
+// The bootstrap role serves the binary tracker on -tcp; peers reach it
+// with -bootstrap host:port (a tcp:// prefix is accepted).
 //
 // A self-organising overlay on one machine (four terminals):
 //
-//	coolnet -role bootstrap -tcp 127.0.0.1:7002 -http 127.0.0.1:7001
-//	coolnet -role source -id 0 -bootstrap tcp://127.0.0.1:7002
-//	coolnet -role peer -id 1 -bootstrap tcp://127.0.0.1:7002 -duration 15s
-//	coolnet -role peer -id 2 -bootstrap http://127.0.0.1:7001 -duration 15s -adapt
+//	coolnet -role bootstrap -tcp 127.0.0.1:7002
+//	coolnet -role source -id 0 -bootstrap 127.0.0.1:7002
+//	coolnet -role peer -id 1 -bootstrap 127.0.0.1:7002 -duration 15s
+//	coolnet -role peer -id 2 -bootstrap tcp://127.0.0.1:7002 -duration 15s -adapt
 //
 // Peers may also be wired manually with -connect host:port[,host:port].
 //
@@ -40,7 +38,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -64,9 +61,8 @@ func run() error {
 	var (
 		role     = flag.String("role", "peer", "bootstrap | source | peer")
 		id       = flag.Int("id", 1, "node id (unique per overlay)")
-		boot     = flag.String("bootstrap", "", "tracker URL: tcp://host:port (binary) or http://host:port (shim)")
-		httpAddr = flag.String("http", "127.0.0.1:7001", "HTTP shim listen address (bootstrap role)")
-		tcpAddr  = flag.String("tcp", "127.0.0.1:7002", "binary tracker listen address (bootstrap role)")
+		boot     = flag.String("bootstrap", "", "tracker address: host:port or tcp://host:port")
+		tcpAddr  = flag.String("tcp", "127.0.0.1:7002", "tracker listen address (bootstrap role)")
 		connect  = flag.String("connect", "", "comma-separated parent addresses (peer role; overrides -bootstrap discovery)")
 		parentsN = flag.Int("maxparents", 3, "parents to connect to via bootstrap discovery")
 		upload   = flag.Float64("upload", 4, "upload capacity as a multiple of the stream rate (0 = unlimited)")
@@ -115,20 +111,8 @@ func run() error {
 			return err
 		}
 		defer tracker.Close()
-		fmt.Printf("tracker listening on tcp://%s (%v leases)\n", bound, reg.LeaseTTL())
-		// The HTTP shim shares the registry. Explicit timeouts: the
-		// default http.Server has none, so one stalled client used to be
-		// able to hold a connection (and its goroutine) forever.
-		hs := &http.Server{
-			Addr:              *httpAddr,
-			Handler:           netboot.NewServerWith(reg),
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       10 * time.Second,
-			WriteTimeout:      10 * time.Second,
-			IdleTimeout:       2 * time.Minute,
-		}
-		fmt.Printf("bootstrap shim listening on http://%s\n", *httpAddr)
-		return hs.ListenAndServe()
+		fmt.Printf("tracker listening on tcp://%s (%v leases); ctrl-c to stop\n", bound, reg.LeaseTTL())
+		select {} // run until killed
 	}
 
 	layout := buffer.Layout{K: *k, RateBps: *rate, BlockBytes: *block}
@@ -155,12 +139,12 @@ func run() error {
 	}
 	fmt.Printf("node %d (%s) listening on %s\n", *id, *role, addr)
 
-	var bc netpeer.Bootstrap
+	var bc *netboot.TCPClient
 	if *boot != "" {
-		bc = newBootClient(*boot)
-		if c, ok := bc.(*netboot.TCPClient); ok {
-			defer c.Close()
+		if bc, err = newBootClient(*boot); err != nil {
+			return err
 		}
+		defer bc.Close()
 		if err := bc.Register(int32(*id), addr); err != nil {
 			return fmt.Errorf("bootstrap register: %w", err)
 		}
@@ -348,19 +332,21 @@ func runSaturate(peers int, window time.Duration, sweepMax int) error {
 	return nil
 }
 
-// newBootClient builds a tracker client from the -bootstrap URL: the
-// binary protocol for tcp://, the HTTP shim otherwise.
-func newBootClient(u string) netpeer.Bootstrap {
-	if rest, ok := strings.CutPrefix(u, "tcp://"); ok {
-		return netboot.NewTCPClient(rest)
+// newBootClient builds the tracker client from the -bootstrap value: a
+// bare host:port or tcp://host:port. Any other scheme is an error —
+// there is one tracker protocol.
+func newBootClient(u string) (*netboot.TCPClient, error) {
+	addr := strings.TrimPrefix(u, "tcp://")
+	if strings.Contains(addr, "://") {
+		return nil, fmt.Errorf("-bootstrap %q: the tracker speaks the binary TCP protocol only; use host:port or tcp://host:port", u)
 	}
-	return netboot.NewClient(u, nil)
+	return netboot.NewTCPClient(addr), nil
 }
 
 // startLeaseRenewal re-registers every 10s (a third of the default
 // lease) so long-lived roles — the source above all — never lapse out
 // of the tracker. Returns the stop function.
-func startLeaseRenewal(bc netpeer.Bootstrap, id int32, addr string) func() {
+func startLeaseRenewal(bc *netboot.TCPClient, id int32, addr string) func() {
 	stop := make(chan struct{})
 	go func() {
 		t := time.NewTicker(10 * time.Second)
@@ -379,7 +365,7 @@ func startLeaseRenewal(bc netpeer.Bootstrap, id int32, addr string) func() {
 
 // discoverParents connects to explicit addresses or to bootstrap
 // candidates, returning the addresses and peer IDs partnered with.
-func discoverParents(node *netpeer.Node, bc netpeer.Bootstrap, connect string, maxParents int, self int32) ([]string, []int32, error) {
+func discoverParents(node *netpeer.Node, bc *netboot.TCPClient, connect string, maxParents int, self int32) ([]string, []int32, error) {
 	var addrs []string
 	if connect != "" {
 		for _, a := range strings.Split(connect, ",") {

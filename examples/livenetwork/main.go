@@ -5,7 +5,7 @@
 // deployable counterpart of the simulator — same buffers, same codec,
 // real sockets.
 //
-// Act two demonstrates self-healing: every node registers with an HTTP
+// Act two demonstrates self-healing: every node registers with the
 // bootstrap tracker, the leaves run the membership manager and the
 // §IV-B adaptation monitor, and then relay-1 dies abruptly (no Leave
 // frames, conns just drop). The leaves detect the loss, re-partner via
@@ -16,8 +16,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"time"
 
 	"coolstream/internal/buffer"
@@ -36,24 +34,17 @@ func main() {
 	}
 
 	// Bootstrap tracker for discovery and re-partnering.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tracker := netboot.NewTCPServer(netboot.NewRegistry(netboot.RegistryConfig{Seed: 1}), netboot.TCPServerConfig{})
+	bootAddr, err := tracker.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Explicit timeouts: a bare http.Server never times a client out.
-	hs := &http.Server{
-		Handler:           netboot.NewServer(1),
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       10 * time.Second,
-		WriteTimeout:      10 * time.Second,
-		IdleTimeout:       time.Minute,
-	}
-	go hs.Serve(ln)
-	defer hs.Close()
-	bootURL := "http://" + ln.Addr().String()
-	fmt.Printf("bootstrap tracker at %s\n", bootURL)
-	client := func(id int32) *netboot.Client {
-		return netboot.NewClient(bootURL, &http.Client{Timeout: 2 * time.Second})
+	defer tracker.Close()
+	fmt.Printf("bootstrap tracker at tcp://%s\n", bootAddr)
+	client := func() *netboot.TCPClient {
+		c := netboot.NewTCPClient(bootAddr)
+		c.SetTimeout(2 * time.Second)
+		return c
 	}
 
 	source, err := netpeer.New(cfg(0, 0)) // unlimited origin uplink
@@ -68,7 +59,9 @@ func main() {
 	if err := source.StartSource(); err != nil {
 		log.Fatal(err)
 	}
-	if err := client(0).Register(0, srcAddr); err != nil {
+	srcBoot := client()
+	defer srcBoot.Close()
+	if err := srcBoot.Register(0, srcAddr); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("source live at %s (%.0f blocks/s)\n", srcAddr, layout.BlocksPerSecond())
@@ -90,7 +83,9 @@ func main() {
 		if _, err := r.Connect(srcAddr); err != nil {
 			log.Fatal(err)
 		}
-		if err := client(id).Register(id, addr); err != nil {
+		rb := client()
+		defer rb.Close()
+		if err := rb.Register(id, addr); err != nil {
 			log.Fatal(err)
 		}
 		start := source.Latest(0) - 3
@@ -125,7 +120,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bc := client(id)
+		bc := client()
+		defer bc.Close()
 		if err := bc.Register(id, leafAddr); err != nil {
 			log.Fatal(err)
 		}

@@ -115,23 +115,3 @@ func (b *SyncBuffer) Latest(sub int) int64 {
 
 // Pending returns how many out-of-order blocks sub-stream sub holds.
 func (b *SyncBuffer) Pending(sub int) int { return len(b.ahead[sub]) }
-
-// MaxDeviation returns the largest difference between the latest
-// sequence numbers of any two sub-streams — the quantity bounded by
-// T_s in the paper's Inequality (1).
-func (b *SyncBuffer) MaxDeviation() int64 {
-	if b.layout.K == 1 {
-		return 0
-	}
-	lo, hi := b.Latest(0), b.Latest(0)
-	for i := 1; i < b.layout.K; i++ {
-		l := b.Latest(i)
-		if l < lo {
-			lo = l
-		}
-		if l > hi {
-			hi = l
-		}
-	}
-	return hi - lo
-}

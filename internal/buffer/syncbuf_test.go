@@ -130,9 +130,6 @@ func TestSyncBufferLatestAndDeviation(t *testing.T) {
 	if b.Latest(2) != -1 {
 		t.Fatalf("Latest(2) = %d, want -1 (nothing received)", b.Latest(2))
 	}
-	if dev := b.MaxDeviation(); dev != 5 {
-		t.Fatalf("MaxDeviation = %d, want 5", dev)
-	}
 }
 
 func TestSyncBufferRandomArrivalCompleteness(t *testing.T) {

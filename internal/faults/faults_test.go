@@ -186,8 +186,7 @@ func TestInjectorTransportsRespectWindows(t *testing.T) {
 	defer srv.Close()
 
 	in, err := NewInjector(Config{
-		TrackerOutages: []Window{{Start: 0, End: sim.Minute}},
-		LogOutages:     []Window{{Start: 2 * sim.Minute, End: 3 * sim.Minute}},
+		LogOutages: []Window{{Start: 2 * sim.Minute, End: 3 * sim.Minute}},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -195,29 +194,23 @@ func TestInjectorTransportsRespectWindows(t *testing.T) {
 	now := sim.Time(0)
 	in.SetClock(func() sim.Time { return now })
 
-	trackerHC := &http.Client{Transport: in.TrackerTransport(nil)}
 	logHC := &http.Client{Transport: in.LogTransport(nil)}
 
-	// Inside the tracker outage.
-	if _, err := trackerHC.Get(srv.URL); err == nil || !errors.Is(err, ErrOutage) {
-		t.Fatalf("tracker request during outage: err = %v", err)
-	}
 	// Log server is up at t=0.
 	if _, err := logHC.Get(srv.URL); err != nil {
 		t.Fatalf("log request outside outage failed: %v", err)
 	}
-	// After the tracker outage, inside the log outage.
+	// Inside the log outage.
 	now = 2*sim.Minute + 10*sim.Second
-	if _, err := trackerHC.Get(srv.URL); err != nil {
-		t.Fatalf("tracker request after outage failed: %v", err)
-	}
 	if _, err := logHC.Get(srv.URL); err == nil || !errors.Is(err, ErrOutage) {
 		t.Fatalf("log request during outage: err = %v", err)
 	}
+	// After it.
+	now = 3*sim.Minute + sim.Second
+	if _, err := logHC.Get(srv.URL); err != nil {
+		t.Fatalf("log request after outage failed: %v", err)
+	}
 	if hits != 2 {
 		t.Fatalf("server hits = %d, want 2", hits)
-	}
-	if s := in.Stats(); s.TrackerRefusals != 1 {
-		t.Fatalf("tracker refusals = %d, want 1", s.TrackerRefusals)
 	}
 }

@@ -24,11 +24,12 @@ var (
 type DialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
 
 // Injector carries a fault plan onto the live-socket engine: it wraps
-// dial functions with the NAT-refusal fault and HTTP transports with
-// the tracker/log outage windows. Refusal decisions come from a seeded
-// RNG behind a mutex, so a fixed sequence of attempts sees a fixed
-// sequence of refusals; outage windows are evaluated against a virtual
-// clock that defaults to wall time elapsed since construction.
+// dial functions with the NAT-refusal fault and the tracker outage
+// windows, and the log client's HTTP transport with the log outage
+// windows. Refusal decisions come from a seeded RNG behind a mutex, so
+// a fixed sequence of attempts sees a fixed sequence of refusals;
+// outage windows are evaluated against a virtual clock that defaults
+// to wall time elapsed since construction.
 type Injector struct {
 	mu    sync.Mutex
 	sch   *Schedule
@@ -96,10 +97,8 @@ func (in *Injector) WrapDial(dial DialFunc) DialFunc {
 }
 
 // TrackerDial wraps dial (nil = net.DialTimeout) so attempts fail with
-// ErrOutage during tracker outage windows — the binary-protocol
-// counterpart of TrackerTransport, for clients that dial the tracker
-// directly instead of going through an http.RoundTripper. Firings land
-// in the same TrackerRefusals counter.
+// ErrOutage during tracker outage windows (netboot.TCPClient.SetDialer
+// takes the result). Firings land in the TrackerRefusals counter.
 func (in *Injector) TrackerDial(dial DialFunc) DialFunc {
 	if dial == nil {
 		dial = net.DialTimeout
@@ -118,37 +117,22 @@ func (in *Injector) TrackerDial(dial DialFunc) DialFunc {
 	}
 }
 
-// outageTransport fails round trips inside outage windows.
-type outageTransport struct {
-	in      *Injector
-	inner   http.RoundTripper
-	down    func(*Schedule, sim.Time) bool
-	tracker bool // which Stats counter the firing lands in
+// logOutageTransport fails round trips inside log-server outage
+// windows.
+type logOutageTransport struct {
+	in    *Injector
+	inner http.RoundTripper
 }
 
 // RoundTrip implements http.RoundTripper.
-func (t *outageTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+func (t *logOutageTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	t.in.mu.Lock()
-	now := t.in.clock()
-	down := t.down(t.in.sch, now)
-	if down && t.tracker {
-		t.in.sch.Stats.TrackerRefusals++
-	}
+	down := t.in.sch.LogDown(t.in.clock())
 	t.in.mu.Unlock()
 	if down {
 		return nil, ErrOutage
 	}
 	return t.inner.RoundTrip(req)
-}
-
-// TrackerTransport wraps inner (nil = http.DefaultTransport) so
-// requests fail during tracker outage windows — the bootstrap-facing
-// side of the plan.
-func (in *Injector) TrackerTransport(inner http.RoundTripper) http.RoundTripper {
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return &outageTransport{in: in, inner: inner, down: (*Schedule).TrackerDown, tracker: true}
 }
 
 // LogTransport wraps inner (nil = http.DefaultTransport) so requests
@@ -158,5 +142,5 @@ func (in *Injector) LogTransport(inner http.RoundTripper) http.RoundTripper {
 	if inner == nil {
 		inner = http.DefaultTransport
 	}
-	return &outageTransport{in: in, inner: inner, down: (*Schedule).LogDown}
+	return &logOutageTransport{in: in, inner: inner}
 }

@@ -143,12 +143,6 @@ func (b *Bootstrap) UpdatePartnerCount(id, count int) {
 	}
 }
 
-// EntryOf returns the bootstrap's record of the peer, if active.
-func (b *Bootstrap) EntryOf(id int) (Entry, bool) {
-	e, ok := b.active[id]
-	return e, ok
-}
-
 // ClassCounts tallies active peers by class; used in experiments.
 func (b *Bootstrap) ClassCounts() [netmodel.NumClasses]int {
 	var counts [netmodel.NumClasses]int

@@ -18,10 +18,10 @@ func TestBootstrapJoinLeave(t *testing.T) {
 	if b.ActiveCount() != 1 {
 		t.Fatalf("active after leave = %d", b.ActiveCount())
 	}
-	if _, ok := b.EntryOf(1); ok {
+	if _, ok := b.active[1]; ok {
 		t.Fatal("departed peer still known")
 	}
-	if _, ok := b.EntryOf(2); !ok {
+	if _, ok := b.active[2]; !ok {
 		t.Fatal("active peer unknown")
 	}
 }
@@ -103,9 +103,8 @@ func TestBootstrapUpdatePartnerCount(t *testing.T) {
 	b := NewBootstrap(xrand.New(6))
 	b.Join(entry(1), 0)
 	b.UpdatePartnerCount(1, 7)
-	e, _ := b.EntryOf(1)
-	if e.PartnerCount != 7 {
-		t.Fatalf("partner count = %d", e.PartnerCount)
+	if got := b.active[1].PartnerCount; got != 7 {
+		t.Fatalf("partner count = %d", got)
 	}
 	b.UpdatePartnerCount(99, 3) // unknown peer: no-op
 }

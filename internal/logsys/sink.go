@@ -131,21 +131,6 @@ func ScanLog(r io.Reader, fn func(Record) error) error {
 	return sc.Err()
 }
 
-// ReadLog parses a stream of newline-separated log strings, the
-// inverse of WriterSink, materializing every record. Prefer ScanLog
-// when the consumer can stream.
-func ReadLog(r io.Reader) ([]Record, error) {
-	var out []Record
-	err := ScanLog(r, func(rec Record) error {
-		out = append(out, rec)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // ParseError reports a malformed log line.
 type ParseError struct {
 	Line int

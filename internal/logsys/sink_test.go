@@ -3,6 +3,7 @@ package logsys
 import (
 	"bufio"
 	"errors"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -42,6 +43,16 @@ func TestMemorySinkConcurrent(t *testing.T) {
 	}
 }
 
+// readLog materializes every record ScanLog yields.
+func readLog(r io.Reader) ([]Record, error) {
+	var out []Record
+	err := ScanLog(r, func(rec Record) error {
+		out = append(out, rec)
+		return nil
+	})
+	return out, err
+}
+
 func TestWriterSinkAndReadLog(t *testing.T) {
 	var buf strings.Builder
 	s := NewWriterSink(&buf)
@@ -52,7 +63,7 @@ func TestWriterSinkAndReadLog(t *testing.T) {
 	for _, rec := range want {
 		s.Log(rec)
 	}
-	got, err := ReadLog(strings.NewReader(buf.String()))
+	got, err := readLog(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +79,7 @@ func TestWriterSinkAndReadLog(t *testing.T) {
 
 func TestReadLogSkipsBlankLines(t *testing.T) {
 	text := "\n" + Record{Kind: KindJoin, Peer: 1}.LogString() + "\n\n"
-	recs, err := ReadLog(strings.NewReader(text))
+	recs, err := readLog(strings.NewReader(text))
 	if err != nil || len(recs) != 1 {
 		t.Fatalf("recs=%d err=%v", len(recs), err)
 	}
@@ -76,7 +87,7 @@ func TestReadLogSkipsBlankLines(t *testing.T) {
 
 func TestReadLogReportsLineNumber(t *testing.T) {
 	text := Record{Kind: KindJoin, Peer: 1}.LogString() + "\ngarbage&&&=\n"
-	_, err := ReadLog(strings.NewReader(text))
+	_, err := readLog(strings.NewReader(text))
 	if err == nil {
 		t.Fatal("garbage accepted")
 	}
@@ -95,7 +106,7 @@ func TestReadLogCRLF(t *testing.T) {
 		{Kind: KindLeave, At: 9, Peer: 1, Session: 5, User: 1, Reason: "watch-done"},
 	}
 	text := want[0].LogString() + "\r\n" + want[1].LogString() + "\r\n"
-	got, err := ReadLog(strings.NewReader(text))
+	got, err := readLog(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +129,7 @@ func TestScanLogLineSizeBoundary(t *testing.T) {
 	// The newline must fit in the buffer alongside the token, so the
 	// largest line that scans is one byte below the cap.
 	under := pad(max-1) + "\n"
-	got, err := ReadLog(strings.NewReader(under))
+	got, err := readLog(strings.NewReader(under))
 	if err != nil {
 		t.Fatalf("line at the cap rejected: %v", err)
 	}
@@ -127,7 +138,7 @@ func TestScanLogLineSizeBoundary(t *testing.T) {
 	}
 
 	over := pad(max+1) + "\n"
-	if _, err := ReadLog(strings.NewReader(over)); err == nil {
+	if _, err := readLog(strings.NewReader(over)); err == nil {
 		t.Fatal("oversized line accepted")
 	} else if !errors.Is(err, bufio.ErrTooLong) {
 		t.Fatalf("oversized line failed with %v, want bufio.ErrTooLong", err)

@@ -101,6 +101,10 @@ type System struct {
 
 	// BMPeriod drives periodic codec-round-tripped BM exchanges.
 	BMPeriod sim.Time
+	// bmWire and bmMsg are the encode buffer and decode target every
+	// BM round-trip reuses (the engine is single-threaded).
+	bmWire []byte
+	bmMsg  protocol.Message
 }
 
 // SourceID is the implicit source node's ID.
@@ -242,16 +246,16 @@ func (s *System) scheduleBMExchange(n *Node) {
 			bm.Subscribed[j] = n.parents[j] != SourceID && n.parents[j] >= 0
 		}
 		msg := protocol.Message{Type: protocol.TypeBMExchange, From: int32(n.ID), To: 0, BM: bm}
-		data, err := protocol.Marshal(msg)
+		data, err := protocol.AppendMessage(s.bmWire[:0], msg)
 		if err != nil {
-			panic(fmt.Sprintf("microsim: bm marshal: %v", err))
+			panic(fmt.Sprintf("microsim: bm encode: %v", err))
 		}
-		decoded, err := protocol.Unmarshal(data)
-		if err != nil {
-			panic(fmt.Sprintf("microsim: bm unmarshal: %v", err))
+		s.bmWire = data
+		if err := protocol.DecodeMessage(data, &s.bmMsg); err != nil {
+			panic(fmt.Sprintf("microsim: bm decode: %v", err))
 		}
-		for j := range decoded.BM.Latest {
-			if decoded.BM.Latest[j] != bm.Latest[j] {
+		for j, latest := range s.bmMsg.BM.Latest {
+			if latest != bm.Latest[j] {
 				panic("microsim: bm corrupted in flight")
 			}
 		}

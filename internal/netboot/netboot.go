@@ -4,316 +4,20 @@
 // fetch a random partial list of live candidates — the role the
 // deployment's boot-strap node and web portal played.
 //
-// The service core is the sharded lease Registry (registry.go). Two
-// endpoints expose it:
-//
-//   - the binary TCP tracker (tcp.go) — the production path;
-//   - this file's HTTP handler — a thin compatibility shim kept for
-//     the examples and for anything that still speaks the original
-//     url-encoded API.
-//
-// Both endpoints share one Registry, so a peer registered over HTTP is
-// a candidate over TCP and vice versa.
+// The service core is the sharded lease Registry (registry.go); the
+// binary TCP tracker (tcp.go, wire.go) is its one endpoint, and
+// TCPClient the one client.
 package netboot
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"math"
-	"net"
-	"net/http"
-	"net/url"
-	"strconv"
-	"sync"
-	"time"
-
-	"coolstream/internal/faults"
-)
+import "math"
 
 // Entry is one registered peer.
 type Entry struct {
-	ID   int32  `json:"id"`
-	Addr string `json:"addr"`
+	ID   int32
+	Addr string
 }
 
-// ExcludeNone asks Candidates to exclude nobody. (The old HTTP handler
-// defaulted a missing/malformed exclude to 0, silently excluding the
-// real peer with ID 0 — the source, typically.)
+// ExcludeNone asks Candidates to exclude nobody. It is outside the ID
+// range any peer uses, so no default can silently exclude a real peer
+// (0 is the source, typically).
 const ExcludeNone int32 = math.MinInt32
-
-// Server is the HTTP bootstrap shim over a Registry.
-type Server struct {
-	reg *Registry
-}
-
-// NewServer creates a server over a fresh default Registry (8 shards,
-// 30 s leases) seeded for candidate sampling.
-func NewServer(seed uint64) *Server {
-	return NewServerWith(NewRegistry(RegistryConfig{Seed: seed}))
-}
-
-// NewServerWith wraps an existing registry (shared with a TCPServer,
-// or configured with custom lease/shard/bound settings).
-func NewServerWith(reg *Registry) *Server { return &Server{reg: reg} }
-
-// Registry returns the backing registry.
-func (s *Server) Registry() *Registry { return s.reg }
-
-// ServeHTTP implements http.Handler:
-//
-//	GET /register?id=N&addr=HOST:PORT → 204 (grants/renews the lease)
-//	GET /leave?id=N                   → 204
-//	GET /candidates?n=K&exclude=N     → JSON [Entry...]
-//	GET /count                        → JSON {"count":N}
-//
-// Malformed parameters are 400s: in particular a bad `exclude` no
-// longer parses as 0 (which silently excluded peer 0), and `n` is
-// clamped server-side so one query cannot serialize the registry.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	release := s.reg.BeginOp()
-	defer release()
-	q := r.URL.Query()
-	switch r.URL.Path {
-	case "/register":
-		id, err := parseID(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		if !s.reg.AdmitRegister(id) {
-			s.unavailable(w)
-			return
-		}
-		owner := r.RemoteAddr
-		if host, _, err := net.SplitHostPort(owner); err == nil {
-			owner = host
-		}
-		ttl, err := s.reg.Register(id, q.Get("addr"), owner)
-		if err != nil {
-			code := http.StatusBadRequest
-			if errors.Is(err, ErrOwnerLimit) {
-				code = http.StatusTooManyRequests
-			}
-			http.Error(w, err.Error(), code)
-			return
-		}
-		w.Header().Set("X-Lease-Ms", strconv.FormatInt(int64(ttl/time.Millisecond), 10))
-		w.WriteHeader(http.StatusNoContent)
-	case "/leave":
-		id, err := parseID(q)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.reg.Leave(id)
-		w.WriteHeader(http.StatusNoContent)
-	case "/candidates":
-		n := DefaultCandidates
-		if raw := q.Get("n"); raw != "" {
-			v, err := strconv.Atoi(raw)
-			if err != nil || v <= 0 {
-				http.Error(w, fmt.Sprintf("netboot: bad n %q", raw), http.StatusBadRequest)
-				return
-			}
-			n = v // Registry.Candidates clamps to the server maximum
-		}
-		exclude := ExcludeNone
-		if raw := q.Get("exclude"); raw != "" {
-			v, err := strconv.ParseInt(raw, 10, 32)
-			if err != nil {
-				http.Error(w, fmt.Sprintf("netboot: bad exclude %q", raw), http.StatusBadRequest)
-				return
-			}
-			exclude = int32(v)
-		}
-		if !s.reg.AdmitCandidates() {
-			s.unavailable(w)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(s.reg.Candidates(n, exclude))
-	case "/count":
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"count":%d}`+"\n", s.reg.Count())
-	default:
-		http.NotFound(w, r)
-	}
-}
-
-// unavailable answers a shed request: 503 with a Retry-After header
-// mirroring the binary protocol's retry-after hint (whole seconds,
-// rounded up — the header has no finer granularity).
-func (s *Server) unavailable(w http.ResponseWriter) {
-	if d := s.reg.RetryAfter(); d > 0 {
-		secs := int64((d + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	}
-	http.Error(w, "netboot: tracker overloaded", http.StatusServiceUnavailable)
-}
-
-func parseID(q url.Values) (int32, error) {
-	id, err := strconv.ParseInt(q.Get("id"), 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("netboot: bad id %q", q.Get("id"))
-	}
-	return int32(id), nil
-}
-
-// Candidates returns up to n random live registered peers, excluding
-// one ID (test/diagnostic convenience; the registry does the work).
-func (s *Server) Candidates(n int, exclude int32) []Entry {
-	return s.reg.Candidates(n, exclude)
-}
-
-// Count returns the number of registered peers.
-func (s *Server) Count() int { return s.reg.Count() }
-
-// Client talks to a bootstrap server over HTTP. With SetBackoff
-// configured, a failed request (connection error, injected outage,
-// 5xx) is retried up to the attempt limit with capped-exponential,
-// deterministically jittered pauses — the recovery half of the
-// tracker-outage fault. The pause honours SetStop, so a shutting-down
-// peer never waits out a backoff.
-type Client struct {
-	base string
-	hc   *http.Client
-
-	backoff     faults.Backoff
-	maxAttempts int
-	// retryKey salts the deterministic jitter so distinct clients
-	// retrying through the same outage de-synchronise.
-	retryKey uint64
-	// Retried counts requests that needed at least one retry; Attempts
-	// counts every retry sleep taken (observability for tests and the
-	// chaos harness).
-	mu       sync.Mutex
-	stop     <-chan struct{}
-	retried  int
-	attempts int
-}
-
-// NewClient wraps the server at base (e.g. "http://127.0.0.1:7000").
-func NewClient(base string, hc *http.Client) *Client {
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	return &Client{base: base, hc: hc, maxAttempts: 1}
-}
-
-// SetBackoff enables request retries: up to maxAttempts total tries
-// per request, pausing per b's schedule between them. key seeds the
-// deterministic jitter (use the peer's ID).
-func (c *Client) SetBackoff(b faults.Backoff, maxAttempts int, key uint64) {
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
-	c.backoff = b
-	c.maxAttempts = maxAttempts
-	c.retryKey = key
-}
-
-// SetStop installs a cancellation channel: a close aborts any backoff
-// pause (and fails the in-flight request) immediately, instead of
-// sleeping out the full capped-exponential delay. netpeer wires its
-// node done channel here so Close/Abort during a tracker outage
-// returns promptly.
-func (c *Client) SetStop(stop <-chan struct{}) {
-	c.mu.Lock()
-	c.stop = stop
-	c.mu.Unlock()
-}
-
-// RetryStats returns (requests that needed a retry, total retry sleeps).
-func (c *Client) RetryStats() (retried, attempts int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.retried, c.attempts
-}
-
-func (c *Client) get(path string) (*http.Response, error) {
-	var lastErr error
-	for attempt := 1; ; attempt++ {
-		var hint time.Duration
-		resp, err := c.hc.Get(c.base + path)
-		if err == nil && resp.StatusCode < 500 {
-			if resp.StatusCode >= 300 {
-				// 4xx is a caller bug; retrying cannot help.
-				resp.Body.Close()
-				return nil, fmt.Errorf("netboot: %s: %s", path, resp.Status)
-			}
-			return resp, nil
-		}
-		if err != nil {
-			lastErr = err
-		} else {
-			if resp.StatusCode == http.StatusServiceUnavailable {
-				if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-					hint = time.Duration(secs) * time.Second
-				}
-				// Surface the hint like the binary client does, so
-				// retry loops above us can honour it too.
-				lastErr = &UnavailableError{
-					Msg:        fmt.Sprintf("%s: %s", path, resp.Status),
-					RetryAfter: hint,
-				}
-				resp.Body.Close()
-			} else {
-				resp.Body.Close()
-				lastErr = fmt.Errorf("netboot: %s: %s", path, resp.Status)
-			}
-		}
-		if attempt >= c.maxAttempts || !c.backoff.Enabled() {
-			return nil, lastErr
-		}
-		c.mu.Lock()
-		if attempt == 1 {
-			c.retried++
-		}
-		c.attempts++
-		stop := c.stop
-		c.mu.Unlock()
-		d := c.backoff.Duration(attempt, c.retryKey)
-		if hint > d {
-			d = hint
-		}
-		if !sleepOrStop(d, stop) {
-			return nil, fmt.Errorf("netboot: retry aborted by stop: %w", lastErr)
-		}
-	}
-}
-
-// Register announces a peer's listen address (and renews its lease).
-func (c *Client) Register(id int32, addr string) error {
-	resp, err := c.get(fmt.Sprintf("/register?id=%d&addr=%s", id, url.QueryEscape(addr)))
-	if err != nil {
-		return err
-	}
-	return resp.Body.Close()
-}
-
-// Leave removes a peer from the registry.
-func (c *Client) Leave(id int32) error {
-	resp, err := c.get(fmt.Sprintf("/leave?id=%d", id))
-	if err != nil {
-		return err
-	}
-	return resp.Body.Close()
-}
-
-// Candidates fetches up to n candidates, excluding the caller's ID.
-func (c *Client) Candidates(n int, exclude int32) ([]Entry, error) {
-	if n <= 0 {
-		n = DefaultCandidates
-	}
-	resp, err := c.get(fmt.Sprintf("/candidates?n=%d&exclude=%d", n, exclude))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	var out []Entry
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("netboot: decode candidates: %w", err)
-	}
-	return out, nil
-}

@@ -1,9 +1,9 @@
 package netboot
 
 import (
-	"net/http"
-	"net/http/httptest"
-	"sync"
+	"errors"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,28 +11,19 @@ import (
 	"coolstream/internal/sim"
 )
 
-func newPair(t *testing.T) (*Server, *Client) {
-	t.Helper()
-	srv := NewServer(1)
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-	return srv, NewClient(ts.URL, nil)
-}
-
+// TestRegisterCandidatesLeave is the registry smoke test, no socket in
+// the way: register → candidates → leave → count.
 func TestRegisterCandidatesLeave(t *testing.T) {
-	srv, c := newPair(t)
+	r := NewRegistry(RegistryConfig{Seed: 1})
 	for id := int32(1); id <= 5; id++ {
-		if err := c.Register(id, "127.0.0.1:900"+string(rune('0'+id))); err != nil {
+		if _, err := r.Register(id, "127.0.0.1:900"+string(rune('0'+id)), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if srv.Count() != 5 {
-		t.Fatalf("count %d", srv.Count())
+	if r.Count() != 5 {
+		t.Fatalf("count %d", r.Count())
 	}
-	cands, err := c.Candidates(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cands := r.Candidates(3, 1)
 	if len(cands) != 3 {
 		t.Fatalf("candidates %d", len(cands))
 	}
@@ -44,92 +35,58 @@ func TestRegisterCandidatesLeave(t *testing.T) {
 			t.Fatal("empty addr")
 		}
 	}
-	if err := c.Leave(2); err != nil {
-		t.Fatal(err)
-	}
-	if srv.Count() != 4 {
-		t.Fatalf("count after leave %d", srv.Count())
+	r.Leave(2)
+	if r.Count() != 4 {
+		t.Fatalf("count after leave %d", r.Count())
 	}
 	// Requesting more than available returns all.
-	cands, _ = c.Candidates(100, -1)
-	if len(cands) != 4 {
+	if cands = r.Candidates(100, -1); len(cands) != 4 {
 		t.Fatalf("all candidates %d", len(cands))
 	}
 }
 
 func TestReRegisterUpdatesAddr(t *testing.T) {
-	srv, c := newPair(t)
-	c.Register(7, "127.0.0.1:1111")
-	c.Register(7, "127.0.0.1:2222")
-	if srv.Count() != 1 {
-		t.Fatalf("count %d", srv.Count())
+	r := NewRegistry(RegistryConfig{Seed: 1})
+	r.Register(7, "127.0.0.1:1111", "")
+	r.Register(7, "127.0.0.1:2222", "")
+	if r.Count() != 1 {
+		t.Fatalf("count %d", r.Count())
 	}
-	cands := srv.Candidates(1, -1)
-	if cands[0].Addr != "127.0.0.1:2222" {
-		t.Fatalf("addr %s", cands[0].Addr)
-	}
-}
-
-func TestHTTPErrors(t *testing.T) {
-	_, c := newPair(t)
-	ts := httptest.NewServer(NewServer(2))
-	defer ts.Close()
-	for _, path := range []string{
-		"/register?id=abc&addr=x",
-		"/register?id=1",
-		"/leave?id=xyz",
-		"/nonsense",
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode < 400 {
-			t.Errorf("%s returned %d", path, resp.StatusCode)
-		}
-	}
-	// Client surfaces server rejections.
-	if err := c.Register(1, ""); err == nil {
-		t.Error("empty addr accepted")
-	}
-	// Transport failure.
-	dead := NewClient("http://127.0.0.1:1", nil)
-	if err := dead.Register(1, "x"); err == nil {
-		t.Error("dead server register succeeded")
-	}
-	if _, err := dead.Candidates(3, 0); err == nil {
-		t.Error("dead server candidates succeeded")
+	if cands := r.Candidates(1, -1); cands[0] != (Entry{ID: 7, Addr: "127.0.0.1:2222"}) {
+		t.Fatalf("entry %+v", cands[0])
 	}
 }
 
+// TestCountEndpoint pins the tracker's count op over the wire: it
+// follows register and leave, and a renewal is not a second peer.
 func TestCountEndpoint(t *testing.T) {
-	srv := NewServer(3)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	c := NewClient(ts.URL, nil)
+	_, c := newTCPPair(t, RegistryConfig{Seed: 3})
+	wantCount := func(want int) {
+		t.Helper()
+		if n, err := c.Count(); err != nil || n != want {
+			t.Fatalf("count %d err=%v, want %d", n, err, want)
+		}
+	}
+	wantCount(0)
 	c.Register(1, "a:1")
-	resp, err := http.Get(ts.URL + "/count")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	buf := make([]byte, 64)
-	n, _ := resp.Body.Read(buf)
-	if got := string(buf[:n]); got != "{\"count\":1}\n" {
-		t.Fatalf("count body %q", got)
-	}
+	c.Register(2, "b:1")
+	c.Register(1, "a:1")
+	wantCount(2)
+	c.Leave(1)
+	wantCount(1)
 }
 
+// TestCandidatesVary pins that candidate sampling is random per query,
+// not a fixed prefix of the registry.
 func TestCandidatesVary(t *testing.T) {
-	srv, c := newPair(t)
+	r := NewRegistry(RegistryConfig{Seed: 1})
 	for id := int32(1); id <= 30; id++ {
-		c.Register(id, "x:1")
+		r.Register(id, "x:1", "")
 	}
-	a, _ := c.Candidates(5, -1)
+	a := r.Candidates(5, ExcludeNone)
 	varied := false
 	for i := 0; i < 10 && !varied; i++ {
-		b, _ := c.Candidates(5, -1)
+		b := r.Candidates(5, ExcludeNone)
 		for j := range b {
 			if b[j].ID != a[j].ID {
 				varied = true
@@ -139,153 +96,91 @@ func TestCandidatesVary(t *testing.T) {
 	if !varied {
 		t.Fatal("candidate sampling is constant")
 	}
-	_ = srv
 }
 
-// flakyHandler fails the first `failures` requests with 503, then
-// delegates to the real registry — a log/tracker server recovering
-// from an outage.
-type flakyHandler struct {
-	mu       sync.Mutex
-	failures int
-	seen     int
-	inner    http.Handler
+// flakyDialer fails the first `failures` dials, then dials for real —
+// a tracker recovering from an outage, with every attempt counted.
+type flakyDialer struct {
+	failures int32
+	seen     atomic.Int32
 }
 
-func (f *flakyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	f.mu.Lock()
-	f.seen++
-	fail := f.seen <= f.failures
-	f.mu.Unlock()
-	if fail {
-		http.Error(w, "outage", http.StatusServiceUnavailable)
-		return
+func (f *flakyDialer) dial(network, addr string, timeout time.Duration) (net.Conn, error) {
+	if f.seen.Add(1) <= f.failures {
+		return nil, errors.New("injected dial failure")
 	}
-	f.inner.ServeHTTP(w, r)
+	return net.DialTimeout(network, addr, timeout)
 }
 
+// TestClientRetriesThroughOutage pins the client's retry accounting
+// exactly: one retried request and one pause per failed attempt; an
+// outage longer than the attempt budget surfaces after exactly that
+// many tries; without SetBackoff a failure is immediate.
 func TestClientRetriesThroughOutage(t *testing.T) {
-	srv := NewServer(9)
-	flaky := &flakyHandler{failures: 3, inner: srv}
-	ts := httptest.NewServer(flaky)
-	defer ts.Close()
-
-	c := NewClient(ts.URL, nil)
+	srv, c := newTCPPair(t, RegistryConfig{Seed: 9})
+	flaky := &flakyDialer{failures: 3}
+	c.SetDialer(flaky.dial)
 	c.SetBackoff(faults.Backoff{Base: sim.Millisecond, Cap: 4 * sim.Millisecond, JitterFrac: 0.5}, 5, 42)
 	if err := c.Register(1, "127.0.0.1:9001"); err != nil {
 		t.Fatalf("register through outage failed: %v", err)
 	}
-	if srv.Count() != 1 {
-		t.Fatalf("registry count %d after retried register", srv.Count())
+	if srv.Registry().Count() != 1 {
+		t.Fatalf("registry count %d after retried register", srv.Registry().Count())
 	}
-	retried, attempts := c.RetryStats()
-	if retried != 1 || attempts != 3 {
+	if retried, attempts := c.RetryStats(); retried != 1 || attempts != 3 {
 		t.Fatalf("retry stats retried=%d attempts=%d, want 1/3", retried, attempts)
 	}
 
 	// Outage longer than the attempt budget: the error surfaces.
-	flaky2 := &flakyHandler{failures: 100, inner: srv}
-	ts2 := httptest.NewServer(flaky2)
-	defer ts2.Close()
-	c2 := NewClient(ts2.URL, nil)
+	flaky2 := &flakyDialer{failures: 100}
+	c2 := NewTCPClient(srvAddr(t, srv))
+	defer c2.Close()
+	c2.SetDialer(flaky2.dial)
 	c2.SetBackoff(faults.Backoff{Base: sim.Millisecond, Cap: 2 * sim.Millisecond}, 3, 7)
 	if err := c2.Register(2, "x:1"); err == nil {
 		t.Fatal("register through permanent outage succeeded")
 	}
-	if flaky2.seen != 3 {
-		t.Fatalf("attempt-limited client made %d requests, want 3", flaky2.seen)
+	if got := flaky2.seen.Load(); got != 3 {
+		t.Fatalf("attempt-limited client dialed %d times, want 3", got)
 	}
 
-	// Without SetBackoff a failure is immediate (one request).
-	flaky3 := &flakyHandler{failures: 100, inner: srv}
-	ts3 := httptest.NewServer(flaky3)
-	defer ts3.Close()
-	c3 := NewClient(ts3.URL, nil)
+	// Without SetBackoff a failure is immediate (one dial).
+	flaky3 := &flakyDialer{failures: 100}
+	c3 := NewTCPClient(srvAddr(t, srv))
+	defer c3.Close()
+	c3.SetDialer(flaky3.dial)
 	if err := c3.Register(3, "x:1"); err == nil {
 		t.Fatal("no-backoff client retried its way through")
 	}
-	if flaky3.seen != 1 {
-		t.Fatalf("no-backoff client made %d requests, want 1", flaky3.seen)
+	if got := flaky3.seen.Load(); got != 1 {
+		t.Fatalf("no-backoff client dialed %d times, want 1", got)
 	}
 }
 
-// TestCandidatesParamValidation is the /candidates regression: a
-// malformed exclude used to parse as 0 and silently exclude the real
-// peer 0 (the source); it must be a 400 now, and a missing exclude
-// must exclude nobody.
+// TestCandidatesParamValidation pins the candidates query's two
+// parameters end to end over the wire. exclude: a query that excludes
+// nobody must not default to excluding ID 0 (the source, typically —
+// the old tracker's malformed-exclude bug), while an explicit 0 does.
+// n: an oversized or non-positive n is clamped or defaulted, not an
+// error.
 func TestCandidatesParamValidation(t *testing.T) {
-	srv := NewServer(11)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	srv.Registry().Register(0, "source:1", "")
-
-	for _, path := range []string{
-		"/candidates?n=bogus",
-		"/candidates?n=0",
-		"/candidates?n=-5",
-		"/candidates?n=3&exclude=bogus",
-		"/candidates?n=3&exclude=99999999999", // overflows int32
-	} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s returned %d, want 400", path, resp.StatusCode)
-		}
+	_, c := newTCPPair(t, RegistryConfig{Seed: 11})
+	if err := c.Register(0, "source:1"); err != nil {
+		t.Fatal(err)
 	}
-
-	// Missing exclude: peer 0 must be a candidate.
-	c := NewClient(ts.URL, nil)
 	cands, err := c.Candidates(5, ExcludeNone)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cands) != 1 || cands[0].ID != 0 {
+	if len(cands) != 1 || cands[0] != (Entry{ID: 0, Addr: "source:1"}) {
 		t.Fatalf("peer 0 missing without an exclude: %+v", cands)
 	}
-	resp, err := http.Get(ts.URL + "/candidates?n=5")
-	if err != nil {
-		t.Fatal(err)
+	if cands, err = c.Candidates(5, 0); err != nil || len(cands) != 0 {
+		t.Fatalf("exclude=0 returned %+v (err %v)", cands, err)
 	}
-	body := make([]byte, 256)
-	n, _ := resp.Body.Read(body)
-	resp.Body.Close()
-	if got := string(body[:n]); got == "[]\n" {
-		t.Fatalf("missing exclude dropped peer 0: %q", got)
-	}
-
-	// Oversized n is clamped, not an error.
-	cands, err = c.Candidates(1_000_000, ExcludeNone)
-	if err != nil || len(cands) != 1 {
-		t.Fatalf("huge n: %v %+v", err, cands)
-	}
-}
-
-// TestHTTPClientStopCancelsBackoff pins the HTTP side of the
-// un-cancellable-sleep fix: closing the stop channel aborts a backoff
-// pause immediately.
-func TestHTTPClientStopCancelsBackoff(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1", nil) // nothing listens here
-	c.SetBackoff(faults.Backoff{Base: 10 * sim.Second, Cap: 20 * sim.Second}, 5, 3)
-	stop := make(chan struct{})
-	c.SetStop(stop)
-
-	done := make(chan error, 1)
-	go func() { done <- c.Register(1, "x:1") }()
-	time.Sleep(50 * time.Millisecond) // let it fail the dial and enter the pause
-	start := time.Now()
-	close(stop)
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("register against dead tracker succeeded")
+	for _, n := range []int{1_000_000, 0, -5} {
+		if cands, err = c.Candidates(n, ExcludeNone); err != nil || len(cands) != 1 {
+			t.Fatalf("n=%d: %v %+v", n, err, cands)
 		}
-		if waited := time.Since(start); waited > time.Second {
-			t.Fatalf("stop took %v to abort the backoff", waited)
-		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("stop did not abort the backoff pause")
 	}
 }

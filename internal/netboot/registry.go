@@ -1,5 +1,5 @@
-// The sharded, lease-based peer registry — the production core behind
-// both the HTTP shim (netboot.go) and the binary TCP tracker (tcp.go).
+// The sharded, lease-based peer registry — the core behind the binary
+// TCP tracker (tcp.go).
 //
 // The original tracker was a single map behind a single mutex, with
 // two production bugs the chaos harness exposed at scale:
@@ -52,13 +52,13 @@ const (
 	// does not override it.
 	DefaultLeaseTTL = 30 * time.Second
 	// DefaultCandidates is the candidate count when a query asks for
-	// n <= 0 (the HTTP shim's historical default).
+	// n <= 0.
 	DefaultCandidates = 10
 	// DefaultMaxCandidates caps one query's result server-side: a single
 	// request must not be able to serialize the whole registry.
 	DefaultMaxCandidates = 64
-	// MaxAddrBytes bounds one registered address on both the HTTP and
-	// binary paths; anything longer is abuse, not an address.
+	// MaxAddrBytes bounds one registered address; anything longer is
+	// abuse, not an address.
 	MaxAddrBytes = 256
 )
 

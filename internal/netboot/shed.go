@@ -1,9 +1,8 @@
 // Adaptive load shedding for the tracker. The registry keeps a load
 // signal — an exponentially-decayed ops-rate plus an in-flight request
-// gauge — shared by both endpoints (binary TCP and the HTTP shim).
-// When the signal crosses the configured bounds the servers flip
-// answers to the retryable unavailable status with a retry-after hint,
-// shedding NEW registrations first: renewals are what keep the
+// gauge. When the signal crosses the configured bounds the server
+// flips answers to the retryable unavailable status with a retry-after
+// hint, shedding NEW registrations first: renewals are what keep the
 // established swarm's leases (and therefore the candidate set) alive,
 // and candidate queries are what let already-admitted joiners finish,
 // so both keep working until the hard threshold. The ladder:
@@ -150,21 +149,6 @@ func (r *Registry) ShedLevel() int {
 		return shedNone
 	}
 	return s.level(r.cfg.Clock())
-}
-
-// OpsRate returns the decayed ops-per-second estimate (0 when shedding
-// is disabled).
-func (r *Registry) OpsRate() float64 {
-	s := r.shed.Load()
-	if s == nil {
-		return 0
-	}
-	now := r.cfg.Clock()
-	s.mu.Lock()
-	s.decayLocked(now)
-	rate := s.weight / s.cfg.Tau.Seconds()
-	s.mu.Unlock()
-	return rate
 }
 
 // RetryAfter is the hint servers attach to shed/down responses (0 when

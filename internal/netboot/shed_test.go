@@ -2,7 +2,6 @@ package netboot
 
 import (
 	"errors"
-	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -182,31 +181,5 @@ func TestTCPClientHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	} else if elapsed < 350*time.Millisecond {
 		t.Fatalf("gave up after %v, hint was 400ms", elapsed)
-	}
-}
-
-// TestHTTPShedRetryAfter drives the registry to hard shed and checks
-// the HTTP shim mirrors the hint as a Retry-After header which the
-// HTTP client surfaces as an UnavailableError.
-func TestHTTPShedRetryAfter(t *testing.T) {
-	now := time.Unix(0, 0)
-	reg := NewRegistry(RegistryConfig{Clock: func() time.Time { return now }})
-	reg.EnableShedding(ShedConfig{MaxOpsPerSec: 10, RetryAfter: 300 * time.Millisecond})
-	for i := 0; i < 100; i++ {
-		reg.BeginOp()()
-	}
-	srv := httptest.NewServer(NewServerWith(reg))
-	defer srv.Close()
-	c := NewClient(srv.URL, nil)
-	var ue *UnavailableError
-	if err := c.Register(5, "a:1"); !errors.As(err, &ue) {
-		t.Fatalf("want UnavailableError, got %v", err)
-	}
-	// 300ms rounds up to the header's whole-second floor.
-	if ue.RetryAfter != time.Second {
-		t.Fatalf("retry-after %v, want 1s", ue.RetryAfter)
-	}
-	if _, err := c.Candidates(4, ExcludeNone); !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("hard shed served candidates")
 	}
 }

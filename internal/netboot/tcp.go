@@ -1,9 +1,7 @@
-// The production tracker endpoint: the binary register/renew/leave/
-// candidates protocol of wire.go served over TCP, plus the matching
-// client. The HTTP handler in netboot.go remains as a thin
-// compatibility shim over the same Registry.
+// The tracker endpoint: the binary register/renew/leave/candidates
+// protocol of wire.go served over TCP, plus the matching client.
 //
-// Server properties the HTTP shim cannot give us:
+// Server properties:
 //
 //   - one length-prefixed frame per request, decoded and answered from
 //     per-connection reusable buffers (steady state allocates only the
@@ -109,7 +107,7 @@ func NewTCPServer(reg *Registry, cfg TCPServerConfig) *TCPServer {
 	}
 }
 
-// Registry returns the backing registry (shared with the HTTP shim).
+// Registry returns the backing registry.
 func (s *TCPServer) Registry() *Registry { return s.reg }
 
 // SetDown toggles the outage switch: while down, every request answers
@@ -278,13 +276,12 @@ func (s *TCPServer) Close() error {
 	return err
 }
 
-// TCPClient speaks the binary tracker protocol. It satisfies the same
-// bootstrap surface as the HTTP Client (netpeer.Bootstrap), keeps one
-// connection pooled across requests (redialing lazily after errors),
-// and — with SetBackoff — retries network errors and stUnavailable
-// answers through capped-exponential deterministic backoff. The
-// backoff sleep honours SetStop, so a peer shutting down mid-outage
-// never blocks on a retry pause.
+// TCPClient speaks the binary tracker protocol. It satisfies
+// netpeer.Bootstrap, keeps one connection pooled across requests
+// (redialing lazily after errors), and — with SetBackoff — retries
+// network errors and stUnavailable answers through capped-exponential
+// deterministic backoff. The backoff sleep honours SetStop, so a peer
+// shutting down mid-outage never blocks on a retry pause.
 type TCPClient struct {
 	addr    string
 	timeout time.Duration
@@ -361,7 +358,7 @@ func (c *TCPClient) SetTimeout(d time.Duration) {
 }
 
 // RetryStats returns (requests that needed a retry, total retry
-// pauses), mirroring the HTTP client.
+// pauses).
 func (c *TCPClient) RetryStats() (retried, attempts int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -25,9 +25,8 @@ func newTCPPair(t *testing.T, cfg RegistryConfig) (*TCPServer, *TCPClient) {
 	return srv, c
 }
 
-// TestTCPRegisterCandidatesLeave is the binary-protocol counterpart of
-// the HTTP smoke test: the full register → candidates → leave → count
-// cycle over a real socket.
+// TestTCPRegisterCandidatesLeave is the tracker smoke test: the full
+// register → candidates → leave → count cycle over a real socket.
 func TestTCPRegisterCandidatesLeave(t *testing.T) {
 	srv, c := newTCPPair(t, RegistryConfig{Seed: 1})
 	for id := int32(1); id <= 5; id++ {
@@ -67,20 +66,6 @@ func TestTCPRegisterCandidatesLeave(t *testing.T) {
 	}
 	if len(cands) != 4 {
 		t.Fatalf("all candidates %d, want 4", len(cands))
-	}
-}
-
-// TestTCPSharedRegistryWithHTTP pins the shim contract: one registry,
-// two protocols — a peer registered over TCP is a candidate over HTTP.
-func TestTCPSharedRegistryWithHTTP(t *testing.T) {
-	srv, c := newTCPPair(t, RegistryConfig{Seed: 2})
-	if err := c.Register(9, "1.2.3.4:9"); err != nil {
-		t.Fatal(err)
-	}
-	shim := NewServerWith(srv.Registry())
-	cands := shim.Candidates(5, ExcludeNone)
-	if len(cands) != 1 || cands[0].ID != 9 {
-		t.Fatalf("HTTP shim candidates %+v", cands)
 	}
 }
 

@@ -37,14 +37,14 @@ import (
 )
 
 // Bootstrap is the tracker surface the maintenance loop needs;
-// *netboot.Client satisfies it directly.
+// *netboot.TCPClient satisfies it directly.
 type Bootstrap interface {
 	Register(id int32, addr string) error
 	Leave(id int32) error
 	Candidates(n int, exclude int32) ([]netboot.Entry, error)
 }
 
-var _ Bootstrap = (*netboot.Client)(nil)
+var _ Bootstrap = (*netboot.TCPClient)(nil)
 
 // mcacheEntry is one locally-cached membership candidate.
 type mcacheEntry struct {
@@ -369,8 +369,8 @@ func (n *Node) gossipTargetsLocked() []*conn {
 
 // rebootstrap re-contacts the tracker: re-register (heals tracker state
 // lost to an outage or restart), then fetch fresh candidates into the
-// mCache. Counted per round, not per HTTP attempt — the netboot client
-// retries internally.
+// mCache. Counted per round, not per request attempt — the netboot
+// client retries internally.
 func (n *Node) rebootstrap(cfg ManagerConfig) {
 	n.mu.Lock()
 	boot, selfAddr := n.boot, n.selfAddr

@@ -3,11 +3,8 @@ package netpeer
 import (
 	"fmt"
 	"net"
-	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,52 +37,51 @@ func testMgrConfig(target int) ManagerConfig {
 	}
 }
 
-// downableBootstrap wraps a netboot server so tests can take the
-// tracker down (503, which the client treats as retryable).
-type downableBootstrap struct {
-	srv  *netboot.Server
-	down atomic.Bool
-}
-
-func (d *downableBootstrap) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.down.Load() {
-		http.Error(w, "injected outage", http.StatusServiceUnavailable)
-		return
-	}
-	d.srv.ServeHTTP(w, r)
-}
-
-func newTestBootstrap(t *testing.T) (*downableBootstrap, *httptest.Server) {
+// newTestTracker starts a real TCP tracker over cfg's registry on a
+// loopback port; TCPServer.SetDown is the outage drill.
+func newTestTracker(t *testing.T, cfg netboot.RegistryConfig) (*netboot.TCPServer, string) {
 	t.Helper()
-	d := &downableBootstrap{srv: netboot.NewServer(7)}
-	hs := httptest.NewServer(d)
-	t.Cleanup(hs.Close)
-	return d, hs
+	srv := netboot.NewTCPServer(netboot.NewRegistry(cfg), netboot.TCPServerConfig{})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return srv, addr
 }
 
-func testBootClient(base string, id int32) *netboot.Client {
-	c := netboot.NewClient(base, &http.Client{Timeout: 2 * time.Second})
+func testBootClient(t *testing.T, addr string, id int32) *netboot.TCPClient {
+	t.Helper()
+	c := netboot.NewTCPClient(addr)
+	c.SetTimeout(2 * time.Second)
 	c.SetBackoff(faults.Backoff{Base: 20 * sim.Millisecond, Cap: 100 * sim.Millisecond, JitterFrac: 0.5}, 3, uint64(id))
+	t.Cleanup(func() { c.Close() })
 	return c
+}
+
+// mustRegister announces id at addr through a fresh client.
+func mustRegister(t *testing.T, tracker string, id int32, addr string) {
+	t.Helper()
+	if err := testBootClient(t, tracker, id).Register(id, addr); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestManagerReplenishesAfterPartnerKill is the partner-kill recovery
 // path: a peer whose partner dies abruptly (no Leave — a crash) must
 // re-contact the tracker and replenish back to the target M.
 func TestManagerReplenishesAfterPartnerKill(t *testing.T) {
-	_, hs := newTestBootstrap(t)
+	_, tracker := newTestTracker(t, netboot.RegistryConfig{Seed: 7})
 
 	src := mustNode(t, testConfig(0, 0))
-	srcAddr := mustListen(t, src)
-	testBootClient(hs.URL, 0).Register(0, srcAddr)
+	mustRegister(t, tracker, 0, mustListen(t, src))
 
 	victim := mustNode(t, testConfig(2, 0))
-	victimAddr := mustListen(t, victim)
-	testBootClient(hs.URL, 2).Register(2, victimAddr)
+	mustRegister(t, tracker, 2, mustListen(t, victim))
 
 	a := mustNode(t, testConfig(1, 0))
 	mustListen(t, a)
-	if err := a.EnableMaintenance(testMgrConfig(2), testBootClient(hs.URL, 1)); err != nil {
+	if err := a.EnableMaintenance(testMgrConfig(2), testBootClient(t, tracker, 1)); err != nil {
 		t.Fatal(err)
 	}
 	// Replenishment discovers both tracker-registered peers from zero.
@@ -97,8 +93,7 @@ func TestManagerReplenishesAfterPartnerKill(t *testing.T) {
 
 	// A third peer joins; A must adopt it to restore the target.
 	repl := mustNode(t, testConfig(3, 0))
-	replAddr := mustListen(t, repl)
-	testBootClient(hs.URL, 3).Register(3, replAddr)
+	mustRegister(t, tracker, 3, mustListen(t, repl))
 
 	waitFor(t, 6*time.Second, func() bool {
 		ps := a.Partners()
@@ -167,12 +162,12 @@ func TestManagerTearsDownHungPartner(t *testing.T) {
 // maintenance loop keeps retrying through the client's backoff; once
 // the tracker returns, the node re-registers itself and replenishes.
 func TestManagerRebootstrapsThroughOutage(t *testing.T) {
-	d, hs := newTestBootstrap(t)
-	d.down.Store(true) // tracker down from the start
+	srv, tracker := newTestTracker(t, netboot.RegistryConfig{Seed: 7})
+	srv.SetDown(true) // tracker down from the start
 
 	a := mustNode(t, testConfig(1, 0))
 	mustListen(t, a)
-	bc := testBootClient(hs.URL, 1)
+	bc := testBootClient(t, tracker, 1)
 	if err := a.EnableMaintenance(testMgrConfig(1), bc); err != nil {
 		t.Fatal(err)
 	}
@@ -186,18 +181,16 @@ func TestManagerRebootstrapsThroughOutage(t *testing.T) {
 	// Tracker comes back with a candidate registered.
 	peer := mustNode(t, testConfig(5, 0))
 	peerAddr := mustListen(t, peer)
-	d.down.Store(false)
-	if err := testBootClient(hs.URL, 5).Register(5, peerAddr); err != nil {
-		t.Fatal(err)
-	}
+	srv.SetDown(false)
+	mustRegister(t, tracker, 5, peerAddr)
 
 	waitFor(t, 5*time.Second, func() bool {
 		ps := a.Partners()
 		return len(ps) == 1 && ps[0] == 5
 	}, "never re-partnered after the outage lifted")
 	// Re-registration healed the tracker's view of A.
-	if d.srv.Count() != 2 {
-		t.Fatalf("tracker count %d after recovery, want 2", d.srv.Count())
+	if got := srv.Registry().Count(); got != 2 {
+		t.Fatalf("tracker count %d after recovery, want 2", got)
 	}
 }
 
@@ -222,7 +215,8 @@ func TestCloseDuringReplenishNoLeak(t *testing.T) {
 	// Tracker at a dead address with a backoff far longer than the
 	// Close deadline below: without stop wiring, rebootstrap would pin
 	// the maintenance goroutine in its retry sleep.
-	bc := netboot.NewClient("http://127.0.0.1:1", &http.Client{Timeout: 200 * time.Millisecond})
+	bc := netboot.NewTCPClient("127.0.0.1:1")
+	bc.SetTimeout(200 * time.Millisecond)
 	bc.SetBackoff(faults.Backoff{Base: 10 * sim.Second, Cap: 20 * sim.Second}, 5, 1)
 	mcfg := testMgrConfig(3)
 	mcfg.Interval = 30 * time.Millisecond
@@ -234,6 +228,9 @@ func TestCloseDuringReplenishNoLeak(t *testing.T) {
 		n.mcacheAdd(i, fmt.Sprintf("127.0.0.1:%d", 40000+i))
 	}
 	time.Sleep(400 * time.Millisecond) // replenishment churns, rebootstrap enters its backoff
+	if _, pauses := bc.RetryStats(); pauses == 0 {
+		t.Fatal("tracker client is not parked in its retry backoff")
+	}
 	done := make(chan struct{})
 	go func() {
 		n.Close()
@@ -254,16 +251,15 @@ func TestCloseDuringReplenishNoLeak(t *testing.T) {
 // keep renewing its tracker lease, while a peer with no renewal loop
 // lapses and disappears from candidates.
 func TestManagerRenewsLease(t *testing.T) {
-	reg := netboot.NewRegistry(netboot.RegistryConfig{LeaseTTL: 500 * time.Millisecond, Seed: 5})
-	hs := httptest.NewServer(netboot.NewServerWith(reg))
-	defer hs.Close()
+	srv, tracker := newTestTracker(t, netboot.RegistryConfig{LeaseTTL: 500 * time.Millisecond, Seed: 5})
+	reg := srv.Registry()
 
 	b := mustNode(t, testConfig(2, 0))
 	addrB := mustListen(t, b)
 
 	a := mustNode(t, testConfig(1, 0))
 	addrA := mustListen(t, a)
-	bc := testBootClient(hs.URL, 1)
+	bc := testBootClient(t, tracker, 1)
 	if err := bc.Register(1, addrA); err != nil {
 		t.Fatal(err)
 	}

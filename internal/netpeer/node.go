@@ -32,18 +32,13 @@ type Config struct {
 	// net.DialTimeout). Fault-injection wrappers hook in here (see
 	// internal/faults.Injector.WrapDial).
 	Dialer func(network, addr string, timeout time.Duration) (net.Conn, error)
-	// FlushBytes caps one coalesced write (default 64 KiB).
-	FlushBytes int
 	// FlushDelay is how long the writer lingers for more frames when the
-	// queue holds less than FlushBytes (default 2ms; negative disables
-	// lingering, making every flush immediate).
+	// queue holds less than one coalesced write (default 2ms; negative
+	// disables lingering, making every flush immediate).
 	FlushDelay time.Duration
 	// QueueBytes bounds each partner's outbound queue; overflow tears
 	// the partnership down as a slow partner (default 256 KiB).
 	QueueBytes int
-	// BMKeyframeEvery is the period, in BM exchanges, of absolute
-	// keyframes between differential updates (default 16).
-	BMKeyframeEvery int
 	// MaxFrameBytes bounds inbound frames on partner connections
 	// (default BlockBytes+4096, floor 16 KiB). Partner conns only carry
 	// blocks of a known size and small control frames; accepting the
@@ -75,9 +70,6 @@ type Config struct {
 	// bucket is shared, and admitting a 9th lane onto bandwidth sized
 	// for 8 degrades all 9.
 	UploadSlots int
-	// DialTimeout bounds the outbound TCP dial in Connect (0 selects
-	// DefaultDialTimeout; negative is a configuration error).
-	DialTimeout time.Duration
 	// HandshakeTimeout bounds the handshake read on both ends (0
 	// selects DefaultHandshakeTimeout; negative is a configuration
 	// error).
@@ -88,8 +80,9 @@ type Config struct {
 // Config.WriteTimeout is zero.
 const DefaultWriteTimeout = 10 * time.Second
 
-// DefaultDialTimeout and DefaultHandshakeTimeout bound connection
-// establishment when the corresponding Config field is zero.
+// DefaultDialTimeout bounds the outbound TCP dial in Connect;
+// DefaultHandshakeTimeout bounds the handshake read when
+// Config.HandshakeTimeout is zero.
 const (
 	DefaultDialTimeout      = 5 * time.Second
 	DefaultHandshakeTimeout = 5 * time.Second
@@ -116,9 +109,6 @@ func (c Config) Validate() error {
 	}
 	if c.WriteTimeout < 0 {
 		return fmt.Errorf("netpeer: WriteTimeout %v", c.WriteTimeout)
-	}
-	if c.DialTimeout < 0 {
-		return fmt.Errorf("netpeer: DialTimeout %v", c.DialTimeout)
 	}
 	if c.HandshakeTimeout < 0 {
 		return fmt.Errorf("netpeer: HandshakeTimeout %v", c.HandshakeTimeout)
@@ -300,9 +290,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = DefaultWriteTimeout
 	}
-	if cfg.FlushBytes <= 0 {
-		cfg.FlushBytes = defaultFlushBytes
-	}
 	if cfg.FlushDelay == 0 {
 		cfg.FlushDelay = defaultFlushDelay
 	} else if cfg.FlushDelay < 0 {
@@ -311,17 +298,11 @@ func New(cfg Config) (*Node, error) {
 	if cfg.QueueBytes <= 0 {
 		cfg.QueueBytes = defaultQueueBytes
 	}
-	if cfg.BMKeyframeEvery <= 0 {
-		cfg.BMKeyframeEvery = defaultBMKeyframeEvery
-	}
 	if cfg.MaxFrameBytes <= 0 {
 		cfg.MaxFrameBytes = cfg.Layout.BlockBytes + 4096
 		if cfg.MaxFrameBytes < 16*1024 {
 			cfg.MaxFrameBytes = 16 * 1024
 		}
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = DefaultDialTimeout
 	}
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = DefaultHandshakeTimeout
@@ -508,7 +489,7 @@ func (n *Node) Connect(addr string) (int32, error) {
 	if dial == nil {
 		dial = net.DialTimeout
 	}
-	c, err := dial("tcp", addr, n.cfg.DialTimeout)
+	c, err := dial("tcp", addr, DefaultDialTimeout)
 	if err != nil {
 		return 0, err
 	}
@@ -944,11 +925,11 @@ func (n *Node) StartSource() error {
 }
 
 // bmLoop periodically sends the node's buffer map to every partner.
-// Most exchanges are BMDelta frames: the changes
-// versus the last map sent on that conn, with an absolute keyframe
-// every BMKeyframeEvery exchanges (and after an unacknowledged keyframe
-// outlives its grace) so a receiver that lost sync converges on the
-// next keyframe. A reconnect is a new conn, so it always starts with a
+// Most exchanges are BMDelta frames: the changes versus the last map
+// sent on that conn, with an absolute keyframe every
+// defaultBMKeyframeEvery exchanges (and after an unacknowledged
+// keyframe outlives its grace) so a receiver that lost sync converges
+// on the next keyframe. A reconnect is a new conn, so it always starts with a
 // keyframe. Layouts with more lanes than a delta can address
 // (MaxDeltaLanes) send full BMExchange maps.
 func (n *Node) bmLoop() {
@@ -1000,7 +981,7 @@ func (n *Node) bmLoop() {
 				}
 				m = protocol.Message{Type: protocol.TypeBMDelta, From: n.cfg.ID, To: cn.peer}
 				n.mu.Lock()
-				key := !cn.bmHave || cn.bmSinceKey+1 >= n.cfg.BMKeyframeEvery ||
+				key := !cn.bmHave || cn.bmSinceKey+1 >= defaultBMKeyframeEvery ||
 					(!cn.bmAcked && cn.bmSinceKey+1 > bmAckGrace)
 				var d protocol.BMDelta
 				var derr error

@@ -12,22 +12,26 @@ import (
 // goroutine draining a bounded outbound queue of pre-encoded frames.
 // Senders (BM loop, pushers, control handlers) enqueue and return
 // immediately; the writer coalesces whatever has accumulated into a
-// single Write call, bounded by a flush budget: at most FlushBytes per
-// write, lingering at most FlushDelay for more frames to arrive. Under
-// load the linger never triggers (the queue is never empty), so
-// throughput costs one syscall per ~FlushBytes instead of one per
-// frame; when idle a frame reaches the wire within FlushDelay.
+// single Write call, bounded by a flush budget: at most
+// defaultFlushBytes per write, lingering at most Config.FlushDelay for
+// more frames to arrive. Under load the linger never triggers (the
+// queue is never empty), so throughput costs one syscall per
+// ~defaultFlushBytes instead of one per frame; when idle a frame
+// reaches the wire within FlushDelay.
 //
-// Backpressure contract: the queue is bounded by QueueBytes. A partner
-// that cannot drain its own traffic fills the queue, and the overflow
-// tears the partnership down (errSlowPartner) rather than buffering
-// without bound or blocking the sender's control loops — the same
-// fate a stale partner meets, discovered sooner.
+// Backpressure contract: the queue is bounded by Config.QueueBytes. A
+// partner that cannot drain its own traffic fills the queue, and the
+// overflow tears the partnership down (errSlowPartner) rather than
+// buffering without bound or blocking the sender's control loops — the
+// same fate a stale partner meets, discovered sooner.
 
 const (
-	defaultFlushBytes      = 64 * 1024
-	defaultFlushDelay      = 2 * time.Millisecond
-	defaultQueueBytes      = 256 * 1024
+	// defaultFlushBytes caps one coalesced write.
+	defaultFlushBytes = 64 * 1024
+	defaultFlushDelay = 2 * time.Millisecond
+	defaultQueueBytes = 256 * 1024
+	// defaultBMKeyframeEvery is the period, in BM exchanges, of absolute
+	// keyframes between differential updates.
 	defaultBMKeyframeEvery = 16
 	// bmAckGrace is how many deltas may follow an unacknowledged
 	// keyframe before the sender re-keys (the ack closes the loop on
@@ -148,9 +152,8 @@ func (cn *conn) dropQueueLocked() {
 func (cn *conn) writerLoop() {
 	n := cn.n
 	defer n.wg.Done()
-	flushBytes := n.cfg.FlushBytes
 	flushDelay := n.cfg.FlushDelay
-	flush := make([]byte, 0, flushBytes)
+	flush := make([]byte, 0, defaultFlushBytes)
 	for {
 		cn.qmu.Lock()
 		for len(cn.q) == 0 && cn.qErr == nil {
@@ -161,7 +164,7 @@ func (cn *conn) writerLoop() {
 			cn.qmu.Unlock()
 			return
 		}
-		if flushDelay > 0 && cn.qBytes < flushBytes {
+		if flushDelay > 0 && cn.qBytes < defaultFlushBytes {
 			// Linger briefly so a burst in flight coalesces into this
 			// write instead of the next one.
 			cn.qmu.Unlock()
@@ -178,7 +181,7 @@ func (cn *conn) writerLoop() {
 		for i := range cn.q {
 			f := &cn.q[i]
 			// Always take at least one frame, even one above the budget.
-			if taken > 0 && len(flush)+len(f.buf) > flushBytes {
+			if taken > 0 && len(flush)+len(f.buf) > defaultFlushBytes {
 				break
 			}
 			flush = append(flush, f.buf...)

@@ -1,15 +1,30 @@
-// Zero-allocation codec: append-style encoding into caller-owned
-// buffers and an offset-scanning decoder that reuses the target
-// Message's slices. AppendMessage is byte-identical to Marshal and
-// DecodeMessage accepts exactly the byte strings Unmarshal accepts —
-// the differential fuzz harness holds both pairs to that contract.
-// The allocating Marshal/Unmarshal remain as the reference
-// implementations; the hot paths (frame writer, FrameReader.ReadInto)
-// go through this file.
+// The wire codec: append-style encoding into caller-owned buffers and
+// an offset-scanning decoder that reuses the target Message's slices.
+// This is the only encoder/decoder pair outside tests; the allocating
+// binary.Write implementation it replaced survives as the differential
+// oracle in codec_oracle_test.go, which holds AppendMessage to
+// Marshal's bytes and DecodeMessage to Unmarshal's accept set.
 //
-// Legacy message types keep the fixed `u8 type | i32 from | i32 to`
-// header. The compact types introduced with BM deltas (TypeBMDelta,
-// TypeBMAck) instead carry From/To as zigzag varints: these are the
+// Layout (big endian):
+//
+//	u8  type
+//	i32 from
+//	i32 to
+//	then type-specific payload:
+//	  mcache-request : i16 want
+//	  mcache-reply   : u16 n, n × (i32 id, u8 class, i64 joinedAt,
+//	                   i16 partners, u16 addrLen, addr bytes)
+//	  partner-reject : u16 n, n × entry (alternate candidates; same
+//	                   entry layout as mcache-reply, n may be 0)
+//	  partner-request: u16 addrLen, addr bytes (advertised listener)
+//	  bm-exchange    : u16 len, BufferMap.MarshalBinary bytes
+//	  subscribe      : i16 substream, i64 startSeq
+//	  unsubscribe    : i16 substream
+//	  block-push     : i16 substream, i64 seq, u32 len, payload bytes
+//	  others         : empty
+//
+// The compact types introduced with BM deltas (TypeBMDelta, TypeBMAck)
+// instead carry From/To as zigzag varints: these are the
 // per-BM-period steady-state messages, and at typical peer IDs the
 // varint header is 3 bytes where the fixed one is 9.
 package protocol
@@ -50,8 +65,8 @@ func appendZigzag(dst []byte, v int64) []byte {
 func compactHeader(t MsgType) bool { return t == TypeBMDelta || t == TypeBMAck }
 
 // AppendMessage appends m's canonical encoding to dst and returns the
-// extended slice. The bytes are identical to Marshal's output for
-// every message type.
+// extended slice. It validates first, so malformed messages never
+// reach the wire.
 func AppendMessage(dst []byte, m Message) ([]byte, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -251,11 +266,11 @@ func (s *scanner) done() {
 }
 
 // DecodeMessage decodes one message into *m, accepting exactly the
-// byte strings Unmarshal accepts. Slices already present in *m
-// (Entries, BM storage, Payload, Delta lanes/sub) are reused when
-// their capacity suffices, so a long-lived Message makes steady-state
-// decoding allocation-free for the hot types. All other fields are
-// reset; decoded strings still allocate (cold types only).
+// canonical encodings AppendMessage produces. Slices already present
+// in *m (Entries, BM storage, Payload, Delta lanes/sub) are reused
+// when their capacity suffices, so a long-lived Message makes
+// steady-state decoding allocation-free for the hot types. All other
+// fields are reset; decoded strings still allocate (cold types only).
 func DecodeMessage(data []byte, m *Message) error {
 	// Capture reusable storage, then clear the message.
 	entries := m.Entries[:0]

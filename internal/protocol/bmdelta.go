@@ -48,8 +48,8 @@ type BMDelta struct {
 // K returns the number of lanes described.
 func (d BMDelta) K() int { return len(d.Lanes) }
 
-// validate checks structural consistency (shared by Marshal and the
-// Message.Validate dispatch).
+// validate checks structural consistency (shared by the payload
+// encoder, ApplyBMDelta and the Message.Validate dispatch).
 func (d BMDelta) validate() error {
 	if len(d.Lanes) == 0 || len(d.Lanes) > MaxDeltaLanes {
 		return fmt.Errorf("protocol: bm-delta describes %d lanes", len(d.Lanes))

@@ -9,22 +9,11 @@ import (
 	"coolstream/internal/netmodel"
 )
 
-// codec layout (big endian):
-//
-//	u8  type
-//	i32 from
-//	i32 to
-//	then type-specific payload:
-//	  mcache-request : i16 want
-//	  mcache-reply   : u16 n, n × (i32 id, u8 class, i64 joinedAt,
-//	                   i16 partners, u16 addrLen, addr bytes)
-//	  partner-reject : u16 n, n × entry (alternate candidates; same
-//	                   entry layout as mcache-reply, n may be 0)
-//	  partner-request: u16 addrLen, addr bytes (advertised listener)
-//	  bm-exchange    : u16 len, BufferMap.MarshalBinary bytes
-//	  subscribe      : i16 substream, i64 startSeq
-//	  unsubscribe    : i16 substream
-//	  others         : empty
+// Test-only differential oracle: the original binary.Write/binary.Read
+// codec, kept verbatim. FuzzUnmarshal and the append/oracle property
+// tests hold AppendMessage to Marshal's bytes and DecodeMessage to
+// Unmarshal's accept set; no non-test file names either function. The
+// wire layout is documented in append.go.
 
 // Marshal encodes a message. It validates first, so malformed messages
 // never reach the wire.

@@ -68,7 +68,9 @@ func ReadFrame(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, data); err != nil {
 		return Message{}, fmt.Errorf("protocol: truncated frame: %w", err)
 	}
-	return Unmarshal(data)
+	var m Message
+	err := DecodeMessage(data, &m)
+	return m, err
 }
 
 // FrameReader wraps a connection with buffering for repeated frame

@@ -80,6 +80,51 @@ func TestReadFrameRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadFrameAgreesWithFrameReader holds the two frame readers to one
+// contract: the same message for every valid frame, the same
+// accept/reject for every malformed one.
+func TestReadFrameAgreesWithFrameReader(t *testing.T) {
+	type input struct {
+		name string
+		wire []byte
+	}
+	var inputs []input
+	for _, m := range seedMessages() {
+		wire, err := AppendFrame(nil, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs,
+			input{m.Type.String(), wire},
+			input{m.Type.String() + " truncated body", wire[:len(wire)-1]})
+	}
+	inputs = append(inputs,
+		input{"zero length", []byte{0, 0, 0, 0}},
+		input{"over-limit length", []byte{0x01, 0x00, 0x00, 0x41, 0}}, // MaxFrameBytes + 1
+		input{"unknown type", []byte{0, 0, 0, 1, 200}},
+		input{"empty", nil},
+	)
+	for _, in := range inputs {
+		a, errA := ReadFrame(bytes.NewReader(in.wire))
+		b, errB := NewFrameReader(bytes.NewReader(in.wire)).Read()
+		if (errA == nil) != (errB == nil) {
+			t.Errorf("%s: ReadFrame err=%v, FrameReader.Read err=%v", in.name, errA, errB)
+			continue
+		}
+		if errA != nil {
+			if (errA == io.EOF) != (errB == io.EOF) {
+				t.Errorf("%s: clean-close signal differs: %v vs %v", in.name, errA, errB)
+			}
+			continue
+		}
+		wa, _ := AppendMessage(nil, a)
+		wb, _ := AppendMessage(nil, b)
+		if !bytes.Equal(wa, wb) || !bytes.Equal(wa, in.wire[frameHeaderLen:]) {
+			t.Errorf("%s: decoded messages differ:\n% x\n% x", in.name, wa, wb)
+		}
+	}
+}
+
 func TestWriteFrameRejectsInvalidMessage(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, Message{Type: MsgType(99)}); err == nil {

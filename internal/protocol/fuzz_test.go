@@ -7,9 +7,8 @@ import (
 	"coolstream/internal/buffer"
 )
 
-// FuzzUnmarshal asserts the codec never panics on arbitrary bytes and
-// that every message it accepts re-marshals byte-identically.
-func FuzzUnmarshal(f *testing.F) {
+// seedMessages is the fuzz corpus: one valid message per wire shape.
+func seedMessages() []Message {
 	seedMsgs := []Message{
 		{Type: TypePartnerRequest, From: 1, To: 2},
 		{Type: TypePartnerReject, From: 2, To: 1},
@@ -33,7 +32,13 @@ func FuzzUnmarshal(f *testing.F) {
 		Message{Type: TypeBMDelta, From: 3, To: 4,
 			Delta: BMDelta{Epoch: 2, Lanes: []int64{0, -2, 4}, Sub: []bool{false, true, true}}},
 	)
-	for _, m := range seedMsgs {
+	return seedMsgs
+}
+
+// FuzzUnmarshal asserts the codec never panics on arbitrary bytes and
+// that every message it accepts re-marshals byte-identically.
+func FuzzUnmarshal(f *testing.F) {
+	for _, m := range seedMessages() {
 		data, err := Marshal(m)
 		if err != nil {
 			f.Fatal(err)

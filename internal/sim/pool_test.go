@@ -91,3 +91,39 @@ func TestConcurrentParallelCallers(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestParallelAllocationFreeAcrossCollections pins the two properties
+// that keep a settled tick's allocation count the same from run to
+// run: the completion channels survive a collection (a sync.Pool would
+// be emptied by each one), and parking the caller and the workers
+// draws on sudog caches that warmParking has already filled.
+func TestParallelAllocationFreeAcrossCollections(t *testing.T) {
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("single-proc: Parallel runs inline, nothing is handed off")
+	}
+	work := make([]int, 1<<16)
+	body := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			work[i]++
+		}
+	}
+	Parallel(len(work), body) // start the pool
+	const rounds, calls = 20, 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for r := 0; r < rounds; r++ {
+		for c := 0; c < calls; c++ {
+			Parallel(len(work), body)
+		}
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&after)
+	// The collector's own bookkeeping may allocate a little per cycle;
+	// what must not appear is a channel and its pool entries per cycle,
+	// or a sudog every few calls.
+	if got := after.Mallocs - before.Mallocs; got > rounds {
+		t.Fatalf("%d allocations over %d Parallel calls and %d collections, want at most %d",
+			got, rounds*calls, rounds, rounds)
+	}
+}

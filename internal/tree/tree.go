@@ -274,37 +274,5 @@ func (o *Overlay) Continuity() float64 {
 	return 1 - lost/total
 }
 
-// Depths returns each connected peer's depth below the root.
-func (o *Overlay) Depths() []int {
-	depth := map[int]int{0: 0}
-	queue := []int{0}
-	var out []int
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, c := range o.nodes[id].children {
-			if o.nodes[c].alive {
-				depth[c] = depth[id] + 1
-				out = append(out, depth[c])
-				queue = append(queue, c)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // ActiveCount returns the number of live peers (excluding the root).
 func (o *Overlay) ActiveCount() int { return len(o.active) - 1 }
-
-// ConnectedCount returns how many live peers currently have a path to
-// the root.
-func (o *Overlay) ConnectedCount() int {
-	n := 0
-	for _, id := range o.active {
-		if id != 0 && o.nodes[id].connected {
-			n++
-		}
-	}
-	return n
-}

@@ -45,8 +45,8 @@ func TestJoinAttaches(t *testing.T) {
 		t.Fatalf("id = %d", id)
 	}
 	e.Run(10 * sim.Second)
-	if o.ConnectedCount() != 1 {
-		t.Fatalf("connected = %d", o.ConnectedCount())
+	if !o.nodes[id].connected {
+		t.Fatal("joiner has no path to the root")
 	}
 	if o.Continuity() < 0.999 {
 		t.Fatalf("continuity %v for undisturbed peer", o.Continuity())
@@ -164,13 +164,9 @@ func TestDepthsAndCounts(t *testing.T) {
 	if o.ActiveCount() != 10 {
 		t.Fatalf("active %d", o.ActiveCount())
 	}
-	depths := o.Depths()
-	if len(depths) != 10 {
-		t.Fatalf("depths %v", depths)
-	}
-	for _, d := range depths {
-		if d < 1 {
-			t.Fatalf("invalid depth %d", d)
+	for _, id := range o.active {
+		if id != 0 && !o.nodes[id].connected {
+			t.Fatalf("peer %d has no path to the root", id)
 		}
 	}
 	// Leave of unknown/duplicate IDs is safe.

@@ -88,16 +88,3 @@ func Generate(o Options, r *xrand.RNG) (Scenario, error) {
 	}
 	return sc, nil
 }
-
-// CountAt returns how many users would be concurrently present at t if
-// every session succeeded immediately — the intended-load curve used
-// to sanity-check generated scenarios against Fig. 5.
-func (sc Scenario) CountAt(t sim.Time) int {
-	n := 0
-	for _, s := range sc.Specs {
-		if s.At <= t && t < s.At+s.Watch {
-			n++
-		}
-	}
-	return n
-}

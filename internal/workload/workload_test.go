@@ -222,8 +222,8 @@ func TestGenerateScenario(t *testing.T) {
 	}
 	// The 22:00 cliff: intended concurrency just before program end
 	// must collapse shortly after it.
-	before := sc.CountAt(sc.ProgramEnd - sim.Minute)
-	after := sc.CountAt(sc.ProgramEnd + 2*opts.EndJitter)
+	before := countAt(sc, sc.ProgramEnd-sim.Minute)
+	after := countAt(sc, sc.ProgramEnd+2*opts.EndJitter)
 	if before < 20 {
 		t.Fatalf("too few concurrent users before program end: %d", before)
 	}
@@ -231,11 +231,24 @@ func TestGenerateScenario(t *testing.T) {
 		t.Fatalf("no departure cliff: %d before, %d after", before, after)
 	}
 	// Evening concurrency must exceed early-day concurrency (Fig. 5a).
-	morning := sc.CountAt(day / 4)
-	evening := sc.CountAt(sim.Time(float64(day) * 20 / 24))
+	morning := countAt(sc, day/4)
+	evening := countAt(sc, sim.Time(float64(day)*20/24))
 	if evening <= morning {
 		t.Fatalf("no evening peak: morning %d evening %d", morning, evening)
 	}
+}
+
+// countAt returns how many users would be concurrently present at t if
+// every session succeeded immediately — the intended-load curve the
+// generated scenario is sanity-checked against (Fig. 5).
+func countAt(sc Scenario, t sim.Time) int {
+	n := 0
+	for _, s := range sc.Specs {
+		if s.At <= t && t < s.At+s.Watch {
+			n++
+		}
+	}
+	return n
 }
 
 func TestGenerateValidation(t *testing.T) {
