@@ -1,12 +1,8 @@
 // Tracker load harness (-tracker): drives register/renew + candidates
-// traffic against three tracker builds and reports ops/min —
+// traffic against the tracker and reports ops/min —
 //
-//   - legacy: a faithful replica of the original single-mutex registry
-//     (collect-all + sort + shuffle under the lock per candidates call;
-//     no lease expiry), kept here because the production code no longer
-//     contains it;
 //   - sharded: the production netboot.Registry called in-process;
-//   - tcp: the production registry behind the binary wire protocol,
+//   - tcp: the same registry behind the binary wire protocol,
 //     end-to-end over a loopback socket with one TCPClient per worker.
 //
 // Each worker alternates a register (renewal of its own ID block) with
@@ -19,58 +15,18 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"coolstream/internal/netboot"
-	"coolstream/internal/xrand"
 )
 
-// trackerOps is the operation surface the load workers drive; the three
-// builds adapt onto it.
+// trackerOps is the operation surface the load workers drive; the two
+// modes adapt onto it.
 type trackerOps interface {
 	register(id int32, addr string) error
 	candidates(n int, exclude int32) (int, error)
-}
-
-// legacyRegistry replicates the pre-rewrite tracker: one mutex over a
-// flat map, candidates materialising and sorting the full population
-// under the lock. Dead peers are never evicted (no leases), which is
-// exactly why its candidates cost grows with every crash.
-type legacyRegistry struct {
-	mu    sync.Mutex
-	peers map[int32]string
-	rng   *xrand.RNG
-}
-
-func newLegacyRegistry(seed uint64) *legacyRegistry {
-	return &legacyRegistry{peers: make(map[int32]string), rng: xrand.New(seed)}
-}
-
-func (s *legacyRegistry) register(id int32, addr string) error {
-	s.mu.Lock()
-	s.peers[id] = addr
-	s.mu.Unlock()
-	return nil
-}
-
-func (s *legacyRegistry) candidates(n int, exclude int32) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]int32, 0, len(s.peers))
-	for id := range s.peers {
-		if id != exclude {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	s.rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
-	if n > len(ids) {
-		n = len(ids)
-	}
-	return n, nil
 }
 
 // shardedOps calls the production registry in-process.
@@ -169,30 +125,18 @@ func runTrackerBench(mode string, dur time.Duration, peers, workers int,
 	}, nil
 }
 
-// trackerBench runs all three builds and writes/prints the results.
+// trackerBench runs both modes and writes/prints the results.
 func trackerBench(dur time.Duration, peers, workers int, jsonPath string) error {
 	if peers <= 0 || workers <= 0 {
 		return fmt.Errorf("tracker bench: peers %d workers %d", peers, workers)
 	}
-	var results []trackerBenchResult
-
-	// Legacy single-lock build.
-	leg := newLegacyRegistry(1)
-	res, err := runTrackerBench("legacy", dur, peers, workers,
-		func(int) trackerOps { return leg })
-	if err != nil {
-		return err
-	}
-	results = append(results, res)
-
 	// Production sharded registry, in-process.
 	reg := netboot.NewRegistry(netboot.RegistryConfig{Seed: 1})
-	res, err = runTrackerBench("sharded", dur, peers, workers,
+	sharded, err := runTrackerBench("sharded", dur, peers, workers,
 		func(int) trackerOps { return shardedOps{reg} })
 	if err != nil {
 		return err
 	}
-	results = append(results, res)
 
 	// Production registry behind the binary protocol, over loopback.
 	// MaxPerOwner must stay unbounded here: every client shares the
@@ -209,7 +153,7 @@ func trackerBench(dur time.Duration, peers, workers int, jsonPath string) error 
 			c.Close()
 		}
 	}()
-	res, err = runTrackerBench("tcp", dur, peers, workers, func(int) trackerOps {
+	tcp, err := runTrackerBench("tcp", dur, peers, workers, func(int) trackerOps {
 		c := netboot.NewTCPClient(addr)
 		clients = append(clients, c)
 		return tcpOps{c}
@@ -217,7 +161,7 @@ func trackerBench(dur time.Duration, peers, workers int, jsonPath string) error 
 	if err != nil {
 		return err
 	}
-	results = append(results, res)
+	results := []trackerBenchResult{sharded, tcp}
 
 	fmt.Printf("# tracker load: %d peers, %d workers, %v per mode\n", peers, workers, dur)
 	fmt.Printf("%-10s %12s %12s %14s %16s\n", "mode", "register", "candidates", "ops/sec", "ops/min")

@@ -1,19 +1,19 @@
 // Command coolnet runs one live networked Coolstreaming node — the
 // deployable data plane of internal/netpeer over real TCP, with the
-// tracker of internal/netboot for discovery and the §IV-B adaptation
-// loop.
+// tracker of internal/netboot for discovery.
 //
-// The bootstrap role serves the binary tracker on -tcp; peers reach it
-// with -bootstrap host:port (a tcp:// prefix is accepted).
+// The bootstrap role serves the binary tracker on -tcp; nodes reach it
+// with -bootstrap host:port (a tcp:// prefix is accepted). A peer is a
+// whole Coolstreaming node (Fig. 1): it joins through the tracker
+// (§IV-A) and runs the adaptation monitor (§IV-B) and the membership
+// manager for as long as it streams.
 //
 // A self-organising overlay on one machine (four terminals):
 //
 //	coolnet -role bootstrap -tcp 127.0.0.1:7002
 //	coolnet -role source -id 0 -bootstrap 127.0.0.1:7002
 //	coolnet -role peer -id 1 -bootstrap 127.0.0.1:7002 -duration 15s
-//	coolnet -role peer -id 2 -bootstrap tcp://127.0.0.1:7002 -duration 15s -adapt
-//
-// Peers may also be wired manually with -connect host:port[,host:port].
+//	coolnet -role peer -id 2 -bootstrap tcp://127.0.0.1:7002 -duration 15s
 //
 // A self-contained chaos run (tracker, source, and peers in one
 // process, with kills, hung connections, and a tracker outage injected
@@ -63,16 +63,12 @@ func run() error {
 		id       = flag.Int("id", 1, "node id (unique per overlay)")
 		boot     = flag.String("bootstrap", "", "tracker address: host:port or tcp://host:port")
 		tcpAddr  = flag.String("tcp", "127.0.0.1:7002", "tracker listen address (bootstrap role)")
-		connect  = flag.String("connect", "", "comma-separated parent addresses (peer role; overrides -bootstrap discovery)")
-		parentsN = flag.Int("maxparents", 3, "parents to connect to via bootstrap discovery")
+		parentsN = flag.Int("maxparents", 3, "target partner count (peer role, chaos scenario)")
 		upload   = flag.Float64("upload", 4, "upload capacity as a multiple of the stream rate (0 = unlimited)")
 		rate     = flag.Float64("rate", 512e3, "stream rate in bits/s")
 		k        = flag.Int("k", 4, "number of sub-streams")
 		block    = flag.Int("block", 800, "block size in bytes")
 		duration = flag.Duration("duration", 10*time.Second, "how long to stream (peer role)")
-		shift    = flag.Int64("shift", 3, "join this many blocks behind the freshest parent")
-		adapt    = flag.Bool("adapt", false, "enable the peer-adaptation monitor (Inequalities 1-2)")
-		selfheal = flag.Bool("selfheal", false, "enable the self-healing membership manager (needs -bootstrap)")
 
 		scenario = flag.String("scenario", "", "self-contained scenario: chaos | saturate | surge")
 		peers    = flag.Int("peers", 8, "chaos/saturate: number of peers")
@@ -115,6 +111,17 @@ func run() error {
 		select {} // run until killed
 	}
 
+	// The tracker client outlives the node: a peer's Close announces its
+	// departure through it.
+	if *boot == "" {
+		return fmt.Errorf("-role %s needs -bootstrap", *role)
+	}
+	bc, err := newBootClient(*boot)
+	if err != nil {
+		return err
+	}
+	defer bc.Close()
+
 	layout := buffer.Layout{K: *k, RateBps: *rate, BlockBytes: *block}
 	uploadBps := *upload * *rate
 	if *upload == 0 {
@@ -139,79 +146,53 @@ func run() error {
 	}
 	fmt.Printf("node %d (%s) listening on %s\n", *id, *role, addr)
 
-	var bc *netboot.TCPClient
-	if *boot != "" {
-		if bc, err = newBootClient(*boot); err != nil {
-			return err
-		}
-		defer bc.Close()
-		if err := bc.Register(int32(*id), addr); err != nil {
-			return fmt.Errorf("bootstrap register: %w", err)
-		}
-		defer bc.Leave(int32(*id))
-		// Keep the tracker lease alive for runs longer than the TTL.
-		// (The self-healing manager renews too; a duplicate renewal is
-		// an atomic store on the tracker side.)
-		defer startLeaseRenewal(bc, int32(*id), addr)()
-	}
-
 	switch *role {
 	case "source":
 		if err := node.StartSource(); err != nil {
 			return err
 		}
+		if err := bc.Register(int32(*id), addr); err != nil {
+			return fmt.Errorf("bootstrap register: %w", err)
+		}
+		// The source runs no membership manager, so it keeps its own
+		// tracker lease alive: every 10s, a third of the default lease.
+		go func() {
+			for range time.Tick(10 * time.Second) {
+				bc.Register(int32(*id), addr)
+			}
+		}()
 		fmt.Printf("streaming %.0f kbps in %d sub-streams (%.0f blocks/s); ctrl-c to stop\n",
 			*rate/1e3, *k, layout.BlocksPerSecond())
 		select {} // run until killed
 
 	case "peer":
-		addrs, parents, err := discoverParents(node, bc, *connect, *parentsN, int32(*id))
+		st, err := node.Join(netpeer.JoinConfig{
+			Boot: bc, SelfAddr: addr, Register: true, TargetPartners: *parentsN,
+		})
 		if err != nil {
+			bc.Leave(int32(*id)) // Join registered us; no manager will deregister
 			return err
 		}
-		for i, pid := range parents {
-			fmt.Printf("partnered with node %d at %s\n", pid, addrs[i])
-		}
-		// Wait for a buffer map so the join position is known.
-		start := waitForStart(node, parents, *shift, 5*time.Second)
-		if err := node.InitBuffers(start); err != nil {
+		fmt.Printf("joined: partners %v, first block after %v\n",
+			node.Partners(), st.TimeToFirstBlock.Round(time.Millisecond))
+		node.EnableAdaptation(netpeer.AdaptConfig{
+			Ts: 10, Tp: 20, Ta: time.Second,
+			Check: 250 * time.Millisecond,
+			Seed:  uint64(*id),
+		})
+		if err := node.EnableMaintenance(netpeer.ManagerConfig{
+			TargetPartners: *parentsN,
+			Seed:           uint64(*id),
+		}, bc); err != nil {
 			return err
 		}
-		for j := 0; j < *k; j++ {
-			parent := parents[j%len(parents)]
-			if err := node.SubscribeTracked(parent, j, start); err != nil {
-				return err
-			}
-		}
-		if *adapt {
-			node.EnableAdaptation(netpeer.AdaptConfig{
-				Ts: 10, Tp: 20, Ta: time.Second,
-				Check: 250 * time.Millisecond,
-				Seed:  uint64(*id),
-			})
-			fmt.Println("adaptation monitor enabled")
-		}
-		if *selfheal {
-			if bc == nil {
-				return fmt.Errorf("-selfheal needs -bootstrap")
-			}
-			if err := node.EnableMaintenance(netpeer.ManagerConfig{
-				TargetPartners: *parentsN,
-				Seed:           uint64(*id),
-			}, bc); err != nil {
-				return err
-			}
-			fmt.Println("self-healing membership manager enabled")
-		}
-		fmt.Printf("subscribed %d sub-streams from block %d; streaming %v...\n", *k, start, *duration)
+		fmt.Printf("streaming %v...\n", *duration)
 		time.Sleep(*duration)
 		fmt.Printf("ready: %v  continuity: %.4f  latest: %d  combined: %d\n",
 			node.Ready(), node.Continuity(), node.Latest(0), node.Combined())
-		if *selfheal {
-			rec := node.Recovery()
-			fmt.Printf("recovery: stale-teardowns=%d partners-replaced=%d rebootstraps=%d gossip-sent=%d\n",
-				rec.StaleTeardowns, rec.PartnersReplaced, rec.Rebootstraps, rec.GossipSent)
-		}
+		rec := node.Recovery()
+		fmt.Printf("recovery: stale-teardowns=%d partners-replaced=%d rebootstraps=%d gossip-sent=%d\n",
+			rec.StaleTeardowns, rec.PartnersReplaced, rec.Rebootstraps, rec.GossipSent)
 		return nil
 
 	default:
@@ -341,88 +322,4 @@ func newBootClient(u string) (*netboot.TCPClient, error) {
 		return nil, fmt.Errorf("-bootstrap %q: the tracker speaks the binary TCP protocol only; use host:port or tcp://host:port", u)
 	}
 	return netboot.NewTCPClient(addr), nil
-}
-
-// startLeaseRenewal re-registers every 10s (a third of the default
-// lease) so long-lived roles — the source above all — never lapse out
-// of the tracker. Returns the stop function.
-func startLeaseRenewal(bc *netboot.TCPClient, id int32, addr string) func() {
-	stop := make(chan struct{})
-	go func() {
-		t := time.NewTicker(10 * time.Second)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				bc.Register(id, addr)
-			case <-stop:
-				return
-			}
-		}
-	}()
-	return func() { close(stop) }
-}
-
-// discoverParents connects to explicit addresses or to bootstrap
-// candidates, returning the addresses and peer IDs partnered with.
-func discoverParents(node *netpeer.Node, bc *netboot.TCPClient, connect string, maxParents int, self int32) ([]string, []int32, error) {
-	var addrs []string
-	if connect != "" {
-		for _, a := range strings.Split(connect, ",") {
-			addrs = append(addrs, strings.TrimSpace(a))
-		}
-	} else {
-		if bc == nil {
-			return nil, nil, fmt.Errorf("peer needs -connect or -bootstrap")
-		}
-		cands, err := bc.Candidates(maxParents, self)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(cands) == 0 {
-			return nil, nil, fmt.Errorf("bootstrap knows no candidates yet")
-		}
-		for _, e := range cands {
-			addrs = append(addrs, e.Addr)
-		}
-	}
-	var connected []string
-	var parents []int32
-	for _, a := range addrs {
-		pid, err := node.Connect(a)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coolnet: connect %s failed: %v\n", a, err)
-			continue
-		}
-		connected = append(connected, a)
-		parents = append(parents, pid)
-	}
-	if len(parents) == 0 {
-		return nil, nil, fmt.Errorf("no parent reachable")
-	}
-	return connected, parents, nil
-}
-
-// waitForStart blocks until some partner advertises progress, then
-// returns the shift-adjusted join position.
-func waitForStart(node *netpeer.Node, parents []int32, shift int64, timeout time.Duration) int64 {
-	deadline := time.Now().Add(timeout)
-	var start int64 = -1
-	for time.Now().Before(deadline) {
-		for _, pid := range parents {
-			if bm, ok := node.PartnerBM(pid); ok && bm.MaxLatest() > shift {
-				if s := bm.MaxLatest() - shift; s > start {
-					start = s
-				}
-			}
-		}
-		if start >= 0 {
-			return start
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if start < 0 {
-		return 0
-	}
-	return start
 }

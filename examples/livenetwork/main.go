@@ -96,7 +96,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for j := 0; j < layout.K; j++ {
-			if err := r.Subscribe(0, j, start); err != nil {
+			if err := r.SubscribeTracked(0, j, start); err != nil {
 				log.Fatal(err)
 			}
 		}

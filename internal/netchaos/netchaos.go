@@ -21,6 +21,7 @@ package netchaos
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"coolstream/internal/buffer"
@@ -39,7 +40,7 @@ type Config struct {
 	Peers int
 	// TargetPartners is each peer's target M.
 	TargetPartners int
-	// Kills is how many random peers die abruptly mid-run.
+	// Kills is how many peers a survivor cannot spare die abruptly mid-run.
 	Kills int
 	// Zombies is how many hung connections are injected into random
 	// live peers.
@@ -68,12 +69,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.TargetPartners <= 0 {
 		c.TargetPartners = 3
-	}
-	if c.Kills < 0 {
-		c.Kills = 0
-	}
-	if c.Zombies < 0 {
-		c.Zombies = 0
 	}
 	if c.Warmup <= 0 {
 		c.Warmup = 2 * time.Second
@@ -165,7 +160,7 @@ func Run(cfg Config) (Report, error) {
 	nodeCfg := func(id int32, uploadBps float64) netpeer.Config {
 		return netpeer.Config{
 			ID: id, Layout: cfg.Layout, UploadBps: uploadBps,
-			BMPeriod: 100 * time.Millisecond,
+			BMPeriod:     100 * time.Millisecond,
 			BufferBlocks: 600, ReadyBlocks: 5,
 			WriteTimeout: 2 * time.Second,
 		}
@@ -203,16 +198,26 @@ func Run(cfg Config) (Report, error) {
 		if err != nil {
 			return Report{}, err
 		}
+		peers[id] = n
 		addr, err := n.Listen()
 		if err != nil {
-			n.Close()
 			return Report{}, err
 		}
+		// The §IV-A join, as every peer does it: register, partner, start
+		// behind the partners' live edge, subscribe every lane.
 		bc := bootClient(id)
-		if err := bc.Register(id, addr); err != nil {
-			n.Close()
-			return Report{}, fmt.Errorf("netchaos: register peer %d: %w", id, err)
+		if _, err := n.Join(netpeer.JoinConfig{
+			Boot: bc, SelfAddr: addr, Register: true,
+			TargetPartners: cfg.TargetPartners,
+		}); err != nil {
+			return Report{}, fmt.Errorf("netchaos: peer %d: %w", id, err)
 		}
+		n.EnableAdaptation(netpeer.AdaptConfig{
+			Ts: 10, Tp: 20,
+			Ta:    400 * time.Millisecond,
+			Check: 150 * time.Millisecond,
+			Seed:  cfg.Seed + uint64(id),
+		})
 		if err := n.EnableMaintenance(netpeer.ManagerConfig{
 			TargetPartners: cfg.TargetPartners,
 			Stale:          1200 * time.Millisecond,
@@ -220,32 +225,8 @@ func Run(cfg Config) (Report, error) {
 			DialCooldown:   2 * time.Second,
 			Seed:           cfg.Seed,
 		}, bc); err != nil {
-			n.Close()
 			return Report{}, err
 		}
-		// Initial discovery: dial tracker candidates toward the target.
-		cands, err := bc.Candidates(cfg.TargetPartners, id)
-		if err != nil {
-			n.Close()
-			return Report{}, err
-		}
-		for _, e := range cands {
-			n.Connect(e.Addr) // failures heal via maintenance
-		}
-		start := waitForStart(n, 3, 4*time.Second)
-		if err := n.InitBuffers(start); err != nil {
-			n.Close()
-			return Report{}, err
-		}
-		subscribeLanes(n, cfg.Layout.K, start)
-		n.EnableAdaptation(netpeer.AdaptConfig{
-			Ts: 10, Tp: 20,
-			Ta:    400 * time.Millisecond,
-			Check: 150 * time.Millisecond,
-			Seed:  cfg.Seed + uint64(id),
-		})
-		peers[id] = n
-		time.Sleep(50 * time.Millisecond) // stagger joins slightly
 	}
 	logf("%d peers joined; warming up %v", cfg.Peers, cfg.Warmup)
 	time.Sleep(cfg.Warmup)
@@ -263,7 +244,7 @@ func Run(cfg Config) (Report, error) {
 	for id := range peers {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.Sort(ids)
 	for z := 0; z < cfg.Zombies && len(ids) > 0; z++ {
 		victim := peers[ids[rng.Intn(len(ids))]]
 		zc, err := dialZombie(victim.Addr(), int32(1000+z))
@@ -276,11 +257,22 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	// Abrupt kills: no Leave frames, no tracker deregistration — the
-	// tracker keeps advertising the dead addresses.
+	// tracker keeps advertising the dead addresses. Victims are drawn
+	// among the peers some survivor cannot spare (it holds no partner
+	// above its target): nobody heals from a loss it does not feel.
 	var killed []int32
 	for k := 0; k < cfg.Kills && len(ids) > 1; k++ {
-		pick := ids[rng.Intn(len(ids))]
-		ids = removeID(ids, pick)
+		needed := slices.DeleteFunc(slices.Clone(ids), func(id int32) bool {
+			return !slices.ContainsFunc(ids, func(o int32) bool {
+				ps := peers[o].Partners()
+				return o != id && len(ps) <= cfg.TargetPartners && slices.Contains(ps, id)
+			})
+		})
+		if len(needed) == 0 {
+			needed = ids
+		}
+		pick := needed[rng.Intn(len(needed))]
+		ids = slices.DeleteFunc(ids, func(id int32) bool { return id == pick })
 		peers[pick].Abort()
 		delete(peers, pick)
 		killed = append(killed, pick)
@@ -365,47 +357,6 @@ func writeHandshake(c net.Conn, id int32) error {
 	return nil
 }
 
-// waitForStart blocks until some partner advertises progress past
-// shift, then returns the shift-adjusted join position (0 on timeout).
-func waitForStart(n *netpeer.Node, shift int64, timeout time.Duration) int64 {
-	deadline := time.Now().Add(timeout)
-	for time.Now().Before(deadline) {
-		var start int64 = -1
-		for _, pid := range n.Partners() {
-			if bm, ok := n.PartnerBM(pid); ok && bm.MaxLatest() > shift {
-				if s := bm.MaxLatest() - shift; s > start {
-					start = s
-				}
-			}
-		}
-		if start >= 0 {
-			return start
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return 0
-}
-
-// subscribeLanes subscribes every lane, each to the partner advertising
-// the most progress on it (falling back to any partner); the adaptation
-// monitor rebalances from there.
-func subscribeLanes(n *netpeer.Node, k int, start int64) {
-	partners := n.Partners()
-	if len(partners) == 0 {
-		return
-	}
-	for j := 0; j < k; j++ {
-		best := partners[j%len(partners)]
-		var bestLatest int64 = -1
-		for _, pid := range partners {
-			if bm, ok := n.PartnerBM(pid); ok && bm.K() > j && bm.Latest[j] > bestLatest {
-				best, bestLatest = pid, bm.Latest[j]
-			}
-		}
-		n.SubscribeTracked(best, j, start)
-	}
-}
-
 func snapshotLanes(peers map[int32]*netpeer.Node, k int) map[int32][]int64 {
 	out := make(map[int32][]int64, len(peers))
 	for id, n := range peers {
@@ -414,24 +365,6 @@ func snapshotLanes(peers map[int32]*netpeer.Node, k int) map[int32][]int64 {
 			lanes[j] = n.Latest(j)
 		}
 		out[id] = lanes
-	}
-	return out
-}
-
-func sortIDs(ids []int32) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-}
-
-func removeID(ids []int32, id int32) []int32 {
-	out := ids[:0]
-	for _, v := range ids {
-		if v != id {
-			out = append(out, v)
-		}
 	}
 	return out
 }

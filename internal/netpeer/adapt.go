@@ -1,9 +1,9 @@
 package netpeer
 
 import (
+	"slices"
 	"time"
 
-	"coolstream/internal/protocol"
 	"coolstream/internal/xrand"
 )
 
@@ -32,16 +32,13 @@ type AdaptConfig struct {
 // partner buffer maps and, at most once per Ta, unsubscribes the worst
 // lagging sub-stream from its parent and re-subscribes it to a random
 // eligible partner. Call after the initial subscriptions are placed
-// with SubscribeTracked.
+// (by Join, or by hand with SubscribeTracked).
 func (n *Node) EnableAdaptation(cfg AdaptConfig) {
 	if cfg.Check <= 0 {
 		cfg.Check = 500 * time.Millisecond
 	}
 	if cfg.BMStale <= 0 {
-		cfg.BMStale = 4 * n.cfg.BMPeriod
-		if cfg.BMStale < time.Second {
-			cfg.BMStale = time.Second
-		}
+		cfg.BMStale = max(4*n.cfg.BMPeriod, time.Second)
 	}
 	rng := xrand.New(cfg.Seed ^ uint64(n.cfg.ID)<<32)
 	n.wg.Add(1)
@@ -75,12 +72,7 @@ func (n *Node) EnableAdaptation(cfg AdaptConfig) {
 			}
 			// Perform the switch outside the lock: network sends block.
 			if plan.oldParent >= 0 {
-				if cn := n.connOf(plan.oldParent); cn != nil {
-					cn.send(protocol.Message{
-						Type: protocol.TypeUnsubscribe, From: n.cfg.ID, To: plan.oldParent,
-						SubStream: int16(plan.lane),
-					})
-				}
+				n.unsubscribeLane(plan.oldParent, plan.lane)
 			}
 			if err := n.SubscribeTracked(plan.newParent, plan.lane, plan.from); err == nil {
 				lastSwitch = time.Now()
@@ -104,12 +96,9 @@ type switchPlan struct {
 func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bool) {
 	k := n.cfg.Layout.K
 	now := time.Now()
-	fresh := func(pid int32) bool {
-		if cfg.BMStale <= 0 {
-			return true
-		}
-		at, ok := n.lastBMAt[pid]
-		return ok && now.Sub(at) <= cfg.BMStale
+	// live reports whether a partner's buffer map exists and is fresh.
+	live := func(cn *conn) bool {
+		return cn != nil && !cn.bmAt.IsZero() && (cfg.BMStale <= 0 || now.Sub(cn.bmAt) <= cfg.BMStale)
 	}
 	// Own per-lane progress and the maximum.
 	own := make([]int64, k)
@@ -122,11 +111,11 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 	}
 	// Best advertised progress across partners with live buffer maps.
 	var best int64
-	for pid, bm := range n.lastBM {
-		if !fresh(pid) {
+	for _, cn := range n.conns {
+		if !live(cn) {
 			continue
 		}
-		if m := bm.MaxLatest(); m > best {
+		if m := cn.bm.MaxLatest(); m > best {
 			best = m
 		}
 	}
@@ -138,19 +127,15 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 		lag1 := maxOwn - own[j]
 		violated := lag1 >= cfg.Ts
 		parent := n.laneParent[j]
-		if parent >= 0 {
-			if bm, ok := n.lastBM[parent]; ok && bm.K() == k && fresh(parent) {
-				if best-bm.Latest[j] >= cfg.Tp {
-					violated = true // Inequality (2)
-				}
-			} else if !ok || !fresh(parent) {
-				// The parent's map expired (or never arrived): the lane
-				// is fed by a partner we cannot reason about — treat as
-				// violated rather than let a frozen map protect it.
-				violated = true
-			}
-		} else {
-			violated = true // stalled lane: always re-subscribe
+		if parent < 0 {
+			violated = true // nobody serves this lane: always re-subscribe
+		} else if cn := n.conns[parent]; !live(cn) {
+			// The parent's map expired (or never arrived): the lane
+			// is fed by a partner we cannot reason about — treat as
+			// violated rather than let a frozen map protect it.
+			violated = true
+		} else if cn.bm.K() == k && best-cn.bm.Latest[j] >= cfg.Tp {
+			violated = true // Inequality (2)
 		}
 		if violated && lag1 > worstLag {
 			worst, worstLag = j, lag1
@@ -162,17 +147,14 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 	// Eligible replacements: partners ahead of us on the lane, within
 	// Tp of the best advertiser, with a live buffer map.
 	var cands []int32
-	for pid, bm := range n.lastBM {
-		if bm.K() != k || pid == n.laneParent[worst] || !fresh(pid) {
+	for pid, cn := range n.conns {
+		if !live(cn) || cn.bm.K() != k || pid == n.laneParent[worst] {
 			continue
 		}
-		if bm.Latest[worst] <= own[worst] {
+		if cn.bm.Latest[worst] <= own[worst] {
 			continue
 		}
-		if best-bm.Latest[worst] >= cfg.Tp {
-			continue
-		}
-		if _, connected := n.conns[pid]; !connected {
+		if best-cn.bm.Latest[worst] >= cfg.Tp {
 			continue
 		}
 		cands = append(cands, pid)
@@ -180,12 +162,7 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 	if len(cands) == 0 {
 		return switchPlan{}, false
 	}
-	// Deterministic order for the random draw.
-	for i := 1; i < len(cands); i++ {
-		for m := i; m > 0 && cands[m] < cands[m-1]; m-- {
-			cands[m], cands[m-1] = cands[m-1], cands[m]
-		}
-	}
+	slices.Sort(cands) // deterministic order for the random draw
 	choice := cands[rng.Intn(len(cands))]
 	return switchPlan{
 		lane:      worst,
@@ -193,25 +170,6 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 		newParent: choice,
 		from:      own[worst] + 1,
 	}, true
-}
-
-// SubscribeTracked subscribes like Subscribe and records the lane's
-// parent so the adaptation monitor can reason about it.
-func (n *Node) SubscribeTracked(peerID int32, j int, startSeq int64) error {
-	if err := n.Subscribe(peerID, j, startSeq); err != nil {
-		return err
-	}
-	n.mu.Lock()
-	n.laneParent[j] = peerID
-	n.mu.Unlock()
-	return nil
-}
-
-// LaneParent returns the tracked parent of sub-stream j (-1 if none).
-func (n *Node) LaneParent(j int) int32 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.laneParent[j]
 }
 
 func (n *Node) connOf(peer int32) *conn {

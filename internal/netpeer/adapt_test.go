@@ -32,7 +32,7 @@ func TestAdaptationSwitchesToHealthyRelayOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := healthy.Subscribe(0, j, hStart); err != nil {
+		if err := healthy.SubscribeTracked(0, j, hStart); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -48,7 +48,7 @@ func TestAdaptationSwitchesToHealthyRelayOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := weak.Subscribe(0, j, hStart); err != nil {
+		if err := weak.SubscribeTracked(0, j, hStart); err != nil {
 			t.Fatal(err)
 		}
 	}

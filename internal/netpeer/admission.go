@@ -15,6 +15,7 @@ package netpeer
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"coolstream/internal/protocol"
@@ -78,7 +79,7 @@ func (n *Node) Admission() AdmissionStats {
 // handshakes against MaxPartners, so two concurrent handshakes cannot
 // both squeeze through the last slot. An existing partnership with the
 // same peer is exempt — its conn would be replaced, not added. The
-// reservation is released by registerReserved (success or not) or
+// reservation is released by register (success or not) or
 // releasePartnerSlot (send failure).
 func (n *Node) reservePartnerSlot(peer int32) bool {
 	n.mu.Lock()
@@ -95,8 +96,7 @@ func (n *Node) reservePartnerSlot(peer int32) bool {
 	return true
 }
 
-// releasePartnerSlot returns a reservation that never reached
-// registerReserved.
+// releasePartnerSlot returns a reservation that never reached register.
 func (n *Node) releasePartnerSlot() {
 	n.mu.Lock()
 	n.hsReserved--
@@ -124,11 +124,7 @@ func (n *Node) rejectAlternates(requester int32) []protocol.PeerEntry {
 		}
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	if len(ids) > want {
 		ids = ids[:want]
 	}

@@ -263,10 +263,10 @@ func TestConcurrentCrossConnectConverges(t *testing.T) {
 
 		// The surviving conns must actually work: a frame sent from each
 		// end arrives (exercises that the two ends kept the SAME conn).
-		if err := a.Subscribe(2, 0, 0); err != nil {
+		if err := a.SubscribeTracked(2, 0, 0); err != nil {
 			t.Fatalf("round %d: surviving conn a→b dead: %v", round, err)
 		}
-		if err := b.Subscribe(1, 0, 0); err != nil {
+		if err := b.SubscribeTracked(1, 0, 0); err != nil {
 			t.Fatalf("round %d: surviving conn b→a dead: %v", round, err)
 		}
 		a.Close()

@@ -18,6 +18,20 @@ import (
 	"coolstream/internal/netboot"
 	"coolstream/internal/protocol"
 	"coolstream/internal/sim"
+	"coolstream/internal/xrand"
+)
+
+// The join's fixed policy: how many candidates one tracker query asks
+// for, how many partner dials one join may spend, the Tp shift — how
+// many blocks per lane behind the best advertised live edge a newcomer
+// starts (§IV-A) — and how long a lane subscription may stay silent
+// before the engine re-plans it onto another partner (the recovery from
+// an UploadSlots refusal).
+const (
+	joinCandidatesPerAsk = 8
+	joinMaxAttempts      = 16
+	joinShift            = 3
+	joinSubscribeGrace   = 250 * time.Millisecond
 )
 
 // JoinConfig drives one node's join attempt.
@@ -32,36 +46,20 @@ type JoinConfig struct {
 	// when the caller registers separately.
 	Register bool
 	// TargetPartners is how many partnerships to establish before
-	// subscribing lanes (default 3, floor 1).
+	// subscribing lanes (default 3, floor 1). An overlay with fewer
+	// peers than that settles for everyone the tracker knows.
 	TargetPartners int
-	// CandidatesPerAsk sizes each tracker candidates query (default 8).
-	CandidatesPerAsk int
-	// MaxAttempts bounds partner dial attempts (default 16).
-	MaxAttempts int
 	// Backoff paces retry rounds (default 100ms..800ms, jitter 0.5).
 	// The tracker's retry-after hint floors each pause.
 	Backoff faults.Backoff
 	// Deadline bounds the whole join, dial through first block
 	// (default 8s).
 	Deadline time.Duration
-	// Shift is the Tp-shifted join position behind the best advertised
-	// live edge (default 3 blocks per lane).
-	Shift int64
-	// SubscribeGrace is how long a lane subscription may stay silent
-	// before the engine re-plans it onto another partner (default
-	// 250ms) — the recovery from an UploadSlots refusal.
-	SubscribeGrace time.Duration
 }
 
 func (c *JoinConfig) applyDefaults() {
 	if c.TargetPartners <= 0 {
 		c.TargetPartners = 3
-	}
-	if c.CandidatesPerAsk <= 0 {
-		c.CandidatesPerAsk = 8
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 16
 	}
 	if !c.Backoff.Enabled() {
 		c.Backoff = faults.Backoff{
@@ -70,12 +68,6 @@ func (c *JoinConfig) applyDefaults() {
 	}
 	if c.Deadline <= 0 {
 		c.Deadline = 8 * time.Second
-	}
-	if c.Shift <= 0 {
-		c.Shift = 3
-	}
-	if c.SubscribeGrace <= 0 {
-		c.SubscribeGrace = 250 * time.Millisecond
 	}
 }
 
@@ -130,18 +122,14 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 	deadline := start.Add(cfg.Deadline)
 
 	// --- Phase 1: partnerships. ---
-	type cand struct {
-		id   int32
-		addr string
-	}
-	var queue []cand
+	var queue []candidate
 	seen := map[int32]bool{n.cfg.ID: true}
 	enqueue := func(id int32, addr string) bool {
-		if addr == "" || addr == n.Addr() || seen[id] {
-			return false
+		if addr == "" || addr == n.Addr() || seen[id] || n.connOf(id) != nil {
+			return false // unusable, ourselves, tried already, or a partner already
 		}
 		seen[id] = true
-		queue = append(queue, cand{id: id, addr: addr})
+		queue = append(queue, candidate{id: id, addr: addr})
 		return true
 	}
 	registered := !cfg.Register
@@ -149,13 +137,15 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 	// dry) and dials it, folding rejects' alternates back into the
 	// queue. It reports whether it made progress; lastErr carries the
 	// failure (nil for an admission reject — a redirect, not a failure
-	// mode worth a pause).
+	// mode worth a pause). settled is set when the tracker's answer names
+	// nobody but partners: the overlay is smaller than the target.
 	var lastErr error
+	settled := false
 	dialNext := func() bool {
 		lastErr = nil
 		if len(queue) == 0 {
 			st.TrackerAsks++
-			cands, err := cfg.Boot.Candidates(cfg.CandidatesPerAsk, n.cfg.ID)
+			cands, err := cfg.Boot.Candidates(joinCandidatesPerAsk, n.cfg.ID)
 			if err != nil {
 				if errors.Is(err, netboot.ErrUnavailable) {
 					st.TrackerUnavailable++
@@ -163,7 +153,11 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 				lastErr = err
 				return false
 			}
+			settled = len(cands) > 0
 			for _, e := range cands {
+				if n.connOf(e.ID) == nil {
+					settled = false
+				}
 				enqueue(e.ID, e.Addr)
 			}
 			if len(queue) == 0 {
@@ -227,10 +221,13 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 			}
 			registered = true
 		}
-		if st.Attempts >= cfg.MaxAttempts {
+		if st.Attempts >= joinMaxAttempts {
 			break
 		}
 		progressed := dialNext()
+		if settled {
+			break
+		}
 		if progressed && lastErr == nil {
 			continue
 		}
@@ -257,11 +254,7 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 	// The edge wait is capped well under the deadline: when no partner
 	// advertises progress (a clique of fellow joiners), the lane phase
 	// below must still get its chance to widen the partner set.
-	edgeWait := time.Until(deadline)
-	if edgeWait > 2*time.Second {
-		edgeWait = 2 * time.Second
-	}
-	startSeq := n.waitForJoinStart(cfg.Shift, edgeWait)
+	startSeq := n.waitForJoinStart(min(time.Until(deadline), 2*time.Second))
 	if err := n.InitBuffers(startSeq); err != nil {
 		return st, err
 	}
@@ -310,7 +303,7 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 			n.SubscribeTracked(pid, j, startSeq)
 		}
 		select {
-		case <-time.After(cfg.SubscribeGrace):
+		case <-time.After(joinSubscribeGrace):
 		case <-n.done:
 			return st, fmt.Errorf("netpeer: join aborted: node closed")
 		}
@@ -329,7 +322,7 @@ func (n *Node) Join(cfg JoinConfig) (JoinStats, error) {
 		// fellow joiners can partner each other into a blockless clique).
 		// Widen the partner set instead of rotating forever.
 		dryRounds++
-		if dryRounds >= 2 && st.Attempts < cfg.MaxAttempts {
+		if dryRounds >= 2 && st.Attempts < joinMaxAttempts {
 			if dialNext() {
 				dryRounds = 0
 			}
@@ -349,23 +342,21 @@ func (n *Node) unsubscribeLane(peer int32, j int) {
 	n.orphanLaneFrom(peer, j)
 }
 
-// waitForJoinStart polls partner buffer maps for an advertised live
-// edge and returns the shift-adjusted join position (0 if nothing was
-// advertised within the wait — the subscription then starts at the
-// stream head, which only a fresh overlay has).
-func (n *Node) waitForJoinStart(shift int64, wait time.Duration) int64 {
+// waitForJoinStart polls the partners' buffer maps for an advertised
+// live edge and returns the join position joinShift behind the best of
+// them (0 if nothing was advertised within the wait — the subscription
+// then starts at the stream head, which only a fresh overlay has).
+func (n *Node) waitForJoinStart(wait time.Duration) int64 {
 	deadline := time.Now().Add(wait)
 	for {
-		var start int64 = -1
-		for _, pid := range n.Partners() {
-			if bm, ok := n.PartnerBM(pid); ok && bm.MaxLatest() > shift {
-				if s := bm.MaxLatest() - shift; s > start {
-					start = s
-				}
-			}
+		var edge int64
+		n.mu.Lock()
+		for _, cn := range n.conns {
+			edge = max(edge, cn.bm.MaxLatest())
 		}
-		if start >= 0 {
-			return start
+		n.mu.Unlock()
+		if edge > joinShift {
+			return edge - joinShift
 		}
 		if !time.Now().Before(deadline) {
 			return 0
@@ -378,23 +369,31 @@ func (n *Node) waitForJoinStart(shift int64, wait time.Duration) int64 {
 	}
 }
 
-// pickLaneParent chooses the partner advertising the most progress on
-// lane j among those not yet tried for it (falling back across all
-// partners with any BM lane coverage).
+// pickLaneParent chooses, among the partners not yet tried for lane j,
+// the one advertising the most progress on it (a partner with no map
+// counts as zero). Equally fresh partners are ordered by a hash of
+// (self, partner, lane) — the way faults.Backoff derives its jitter —
+// so the same partner set always yields the same parent, while ties do
+// not pile every lane of every joiner onto the lowest ID (the source).
 func (n *Node) pickLaneParent(j int, tried map[int32]bool) (int32, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	var best int32
-	var bestLatest int64 = -1
+	var bestLatest int64
+	var bestTie uint64
 	found := false
-	for _, pid := range n.Partners() {
+	for _, pid := range n.partnerIDsLocked() {
 		if tried[pid] {
 			continue
 		}
-		latest := int64(0)
-		if bm, ok := n.PartnerBM(pid); ok && bm.K() > j {
+		var latest int64
+		if bm := n.conns[pid].bm; bm.K() > j {
 			latest = bm.Latest[j]
 		}
-		if !found || latest > bestLatest {
-			best, bestLatest, found = pid, latest, true
+		key := uint64(uint32(n.cfg.ID))<<32 | uint64(uint32(pid))
+		tie := xrand.New(key ^ uint64(j+1)*0x9e3779b97f4a7c15).Uint64()
+		if !found || latest > bestLatest || (latest == bestLatest && tie > bestTie) {
+			best, bestLatest, bestTie, found = pid, latest, tie, true
 		}
 	}
 	return best, found

@@ -1,25 +1,19 @@
 // Membership/partnership maintenance — the self-healing half of the
-// paper's §II node architecture, over real sockets.
-//
-// The simulator's control plane continuously re-partners nodes through
-// mCache gossip; before this file, the live stack only ever LOST
-// partners: a dead conn was dropped and its lanes orphaned, but nothing
-// replenished the partner set, re-contacted the tracker, or noticed a
-// silently-hung partner whose TCP connection stayed open. The
-// maintenance loop closes that gap:
+// paper's §II node architecture, over real sockets. A dead conn is
+// dropped and its lanes orphaned by the read loop; the maintenance loop
+// is what wins partners back:
 //
 //   - liveness: a partner that has sent no frame (BM, ping, push —
 //     anything) within the staleness deadline is torn down, exactly as
 //     if its connection had errored. bmLoop's TypePing heartbeat makes
 //     "no frame" equivalent to "hung", even for nodes with no buffers.
-//   - replenishment: when the partner count falls below the low
-//     watermark, candidates are dialed toward the target M, drawn from
-//     the local mCache. The mCache is fed three ways: partner-request
-//     address advertisements, TypeMCacheRequest/Reply gossip
-//     piggybacked on live partnerships, and tracker re-Candidates calls
-//     (which also re-register this node, healing tracker state after an
-//     outage). Tracker retries ride the netboot client's
-//     capped-exponential deterministic backoff.
+//   - replenishment: when the partner count falls below the target M,
+//     candidates are dialed toward it, drawn from the local mCache. The
+//     mCache is fed three ways: partner-request address advertisements,
+//     TypeMCacheRequest/Reply gossip piggybacked on live partnerships,
+//     and tracker re-Candidates calls (which also re-register this
+//     node, healing tracker state after an outage). Tracker retries
+//     ride the netboot client's capped-exponential deterministic backoff.
 //   - departure: Close announces TypeLeave to partners and Leave to the
 //     tracker (see shutdown in node.go).
 //
@@ -28,7 +22,9 @@
 package netpeer
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"coolstream/internal/netboot"
@@ -86,23 +82,24 @@ type RecoveryStats struct {
 	BMFailTeardowns int
 }
 
+// gossipWant is the entry count requested per mCache gossip
+// solicitation (and answered when a request names none); mcacheCap
+// bounds the local membership cache.
+const (
+	gossipWant = 8
+	mcacheCap  = 64
+)
+
 // ManagerConfig parameterises the maintenance loop.
 type ManagerConfig struct {
-	// TargetPartners is M — replenishment dials toward this count.
+	// TargetPartners is M — any deficit below it triggers replenishment
+	// dials toward it.
 	TargetPartners int
-	// MinPartners is the low watermark that triggers replenishment
-	// (default: TargetPartners, i.e. heal any deficit).
-	MinPartners int
 	// Stale is the liveness deadline: a partner with no inbound frame
 	// for this long is torn down (default: 8×BMPeriod, floor 2s).
 	Stale time.Duration
 	// Interval is the maintenance period (default: max(BMPeriod, 250ms)).
 	Interval time.Duration
-	// GossipWant is the entry count requested per mCache gossip
-	// solicitation (default 8).
-	GossipWant int
-	// MCacheCap bounds the local membership cache (default 64).
-	MCacheCap int
 	// DialCooldown keeps a failed candidate out of replenishment
 	// attempts for this long (default 5s).
 	DialCooldown time.Duration
@@ -118,26 +115,11 @@ func (c *ManagerConfig) applyDefaults(bmPeriod time.Duration) error {
 	if c.TargetPartners <= 0 {
 		return fmt.Errorf("netpeer: TargetPartners %d", c.TargetPartners)
 	}
-	if c.MinPartners <= 0 || c.MinPartners > c.TargetPartners {
-		c.MinPartners = c.TargetPartners
-	}
 	if c.Stale <= 0 {
-		c.Stale = 8 * bmPeriod
-		if c.Stale < 2*time.Second {
-			c.Stale = 2 * time.Second
-		}
+		c.Stale = max(8*bmPeriod, 2*time.Second)
 	}
 	if c.Interval <= 0 {
-		c.Interval = bmPeriod
-		if c.Interval < 250*time.Millisecond {
-			c.Interval = 250 * time.Millisecond
-		}
-	}
-	if c.GossipWant <= 0 {
-		c.GossipWant = 8
-	}
-	if c.MCacheCap <= 0 {
-		c.MCacheCap = 64
+		c.Interval = max(bmPeriod, 250*time.Millisecond)
 	}
 	if c.DialCooldown <= 0 {
 		c.DialCooldown = 5 * time.Second
@@ -235,15 +217,8 @@ func (n *Node) reapStalePartners(cfg ManagerConfig) {
 		n.mu.Unlock()
 		return
 	}
-	for id, cn := range n.conns {
-		seen, ok := n.lastSeen[id]
-		if !ok {
-			// Registered before the lastSeen map existed for it: seed
-			// now and give it a full window.
-			n.lastSeen[id] = now
-			continue
-		}
-		if now.Sub(seen) > cfg.Stale {
+	for _, cn := range n.conns {
+		if now.Sub(time.Unix(0, cn.seen.Load())) > cfg.Stale {
 			victims = append(victims, cn)
 		}
 	}
@@ -261,8 +236,8 @@ func (n *Node) reapStalePartners(cfg ManagerConfig) {
 }
 
 // replenishPartners dials mCache candidates toward the target partner
-// count when it has fallen below the low watermark, soliciting gossip
-// and re-contacting the tracker when the cache runs dry.
+// count whenever the set is short of it, soliciting gossip and
+// re-contacting the tracker when the cache runs dry.
 func (n *Node) replenishPartners(cfg ManagerConfig, rng *xrand.RNG) {
 	n.mu.Lock()
 	if n.closed {
@@ -270,13 +245,13 @@ func (n *Node) replenishPartners(cfg ManagerConfig, rng *xrand.RNG) {
 		return
 	}
 	have := len(n.conns)
-	if have >= cfg.MinPartners {
+	if have >= cfg.TargetPartners {
 		n.mu.Unlock()
 		return
 	}
 	need := cfg.TargetPartners - have
 	cands := n.candidatesLocked(cfg)
-	gossipTargets := n.gossipTargetsLocked()
+	gossipTargets := n.connsLocked()
 	n.mu.Unlock()
 
 	// Deterministic order for the shuffle: candidatesLocked returns
@@ -313,7 +288,7 @@ func (n *Node) replenishPartners(cfg ManagerConfig, rng *xrand.RNG) {
 	for _, cn := range gossipTargets {
 		if cn.send(protocol.Message{
 			Type: protocol.TypeMCacheRequest, From: n.cfg.ID, To: cn.peer,
-			Want: int16(cfg.GossipWant),
+			Want: gossipWant,
 		}) == nil {
 			n.mu.Lock()
 			n.rec.GossipSent++
@@ -351,19 +326,7 @@ func (n *Node) candidatesLocked(cfg ManagerConfig) []candidate {
 		}
 		out = append(out, candidate{id: id, addr: e.addr})
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].id < out[j-1].id; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func (n *Node) gossipTargetsLocked() []*conn {
-	out := make([]*conn, 0, len(n.conns))
-	for _, cn := range n.conns {
-		out = append(out, cn)
-	}
+	slices.SortFunc(out, func(a, b candidate) int { return cmp.Compare(a.id, b.id) })
 	return out
 }
 
@@ -374,13 +337,13 @@ func (n *Node) gossipTargetsLocked() []*conn {
 func (n *Node) rebootstrap(cfg ManagerConfig) {
 	n.mu.Lock()
 	boot, selfAddr := n.boot, n.selfAddr
+	if boot != nil {
+		n.rec.Rebootstraps++
+	}
 	n.mu.Unlock()
 	if boot == nil {
 		return
 	}
-	n.mu.Lock()
-	n.rec.Rebootstraps++
-	n.mu.Unlock()
 	regErr := boot.Register(n.cfg.ID, selfAddr)
 	entries, err := boot.Candidates(cfg.TargetPartners*2, n.cfg.ID)
 	if err != nil || regErr != nil {
@@ -394,18 +357,14 @@ func (n *Node) rebootstrap(cfg ManagerConfig) {
 }
 
 // mcacheAdd records one candidate, evicting the oldest entry when the
-// cache is full.
-func (n *Node) mcacheAdd(id int32, addr string) {
+// cache is full; it reports whether the entry was usable.
+func (n *Node) mcacheAdd(id int32, addr string) bool {
 	if addr == "" || id == n.cfg.ID {
-		return
+		return false
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	limit := n.mgr.MCacheCap
-	if limit <= 0 {
-		limit = 64
-	}
-	if _, ok := n.mcache[id]; !ok && len(n.mcache) >= limit {
+	if _, ok := n.mcache[id]; !ok && len(n.mcache) >= mcacheCap {
 		var oldest int32
 		var oldestAt time.Time
 		first := true
@@ -417,17 +376,16 @@ func (n *Node) mcacheAdd(id int32, addr string) {
 		delete(n.mcache, oldest)
 	}
 	n.mcache[id] = mcacheEntry{addr: addr, seen: time.Now()}
+	return true
 }
 
 // mcacheMerge folds gossip-reply entries into the cache.
 func (n *Node) mcacheMerge(entries []protocol.PeerEntry) {
 	merged := 0
 	for _, e := range entries {
-		if e.Addr == "" || e.ID == n.cfg.ID {
-			continue
+		if n.mcacheAdd(e.ID, e.Addr) {
+			merged++
 		}
-		n.mcacheAdd(e.ID, e.Addr)
-		merged++
 	}
 	if merged > 0 {
 		n.mu.Lock()
@@ -441,7 +399,7 @@ func (n *Node) mcacheMerge(entries []protocol.PeerEntry) {
 // excluding the requester itself.
 func (n *Node) buildMCacheReply(requester int32, want int) (protocol.Message, bool) {
 	if want <= 0 {
-		want = 8
+		want = gossipWant // wire-supplied: a request naming none gets the default
 	}
 	n.mu.Lock()
 	entries := make([]protocol.PeerEntry, 0, want)
@@ -449,11 +407,7 @@ func (n *Node) buildMCacheReply(requester int32, want int) (protocol.Message, bo
 	for id := range n.mcache {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	partners := int16(len(n.conns))
 	for _, id := range ids {
 		if len(entries) >= want {

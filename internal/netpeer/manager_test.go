@@ -364,12 +364,8 @@ func TestPlanSwitchIgnoresStaleBM(t *testing.T) {
 	n.mu.Lock()
 	freshBM := newTestBM(50)
 	staleBM := newTestBM(500) // way ahead — would dominate best if counted
-	n.conns[1] = &conn{peer: 1}
-	n.conns[2] = &conn{peer: 2}
-	n.lastBM[1] = freshBM
-	n.lastBMAt[1] = now
-	n.lastBM[2] = staleBM
-	n.lastBMAt[2] = now.Add(-10 * time.Second)
+	n.conns[1] = &conn{peer: 1, bm: freshBM, bmAt: now}
+	n.conns[2] = &conn{peer: 2, bm: staleBM, bmAt: now.Add(-10 * time.Second)}
 	cfg := AdaptConfig{Ts: 10, Tp: 1000, BMStale: time.Second}
 	plan, ok := n.planSwitchLocked(cfg, rng)
 	if !ok {
@@ -383,8 +379,7 @@ func TestPlanSwitchIgnoresStaleBM(t *testing.T) {
 
 	// With only the stale partner left, planning must fail entirely:
 	// best-progress cannot come from an expired map.
-	delete(n.lastBM, 1)
-	delete(n.lastBMAt, 1)
+	delete(n.conns, 1)
 	if _, ok := n.planSwitchLocked(cfg, rng); ok {
 		n.mu.Unlock()
 		t.Fatal("planned a switch from a stale buffer map alone")

@@ -122,7 +122,7 @@ func TestStreamFromSourceReachesReadyAndStaysContinuous(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := peer.Subscribe(0, j, start); err != nil {
+		if err := peer.SubscribeTracked(0, j, start); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -158,7 +158,7 @@ func TestRelayChainDeliversDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := relay.Subscribe(0, j, start); err != nil {
+		if err := relay.SubscribeTracked(0, j, start); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestRelayChainDeliversDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := leaf.Subscribe(1, j, leafStart); err != nil {
+		if err := leaf.SubscribeTracked(1, j, leafStart); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -208,7 +208,7 @@ func TestUploadLimitSharedAcrossChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	for j := 0; j < testLayout.K; j++ {
-		if err := relay.Subscribe(0, j, start); err != nil {
+		if err := relay.SubscribeTracked(0, j, start); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestUploadLimitSharedAcrossChildren(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < testLayout.K; j++ {
-			if err := kid.Subscribe(1, j, start); err != nil {
+			if err := kid.SubscribeTracked(1, j, start); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -301,7 +301,7 @@ func TestBucketEnforcesRate(t *testing.T) {
 
 func TestSubscribeWithoutPartnershipFails(t *testing.T) {
 	n := mustNode(t, testConfig(1, 0))
-	if err := n.Subscribe(42, 0, 0); err == nil {
+	if err := n.SubscribeTracked(42, 0, 0); err == nil {
 		t.Fatal("subscribe without partnership succeeded")
 	}
 }
@@ -330,7 +330,7 @@ func TestCloseIsIdempotentAndUnblocks(t *testing.T) {
 	if err := peer.InitBuffers(0); err != nil {
 		t.Fatal(err)
 	}
-	peer.Subscribe(0, 0, 0)
+	peer.SubscribeTracked(0, 0, 0)
 	time.Sleep(200 * time.Millisecond)
 	done := make(chan struct{})
 	go func() {

@@ -266,7 +266,7 @@ func TestFanOutSharesEncodedFrames(t *testing.T) {
 			t.Fatal(err)
 		}
 		for j := 0; j < testLayout.K; j++ {
-			if err := kid.Subscribe(0, j, 0); err != nil {
+			if err := kid.SubscribeTracked(0, j, 0); err != nil {
 				t.Fatal(err)
 			}
 		}

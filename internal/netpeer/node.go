@@ -3,7 +3,9 @@ package netpeer
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coolstream/internal/buffer"
@@ -122,7 +124,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// conn is one partnership's TCP connection.
+// conn is one partnership: its TCP connection and everything this node
+// knows about the partner. A reconnect is a new conn, so it starts with
+// no buffer map and no delta epoch until its own keyframe arrives.
 type conn struct {
 	peer int32
 	// outgoing records which end dialed: the duplicate-connection
@@ -156,10 +160,19 @@ type conn struct {
 	bmSinceKey int
 	bmFails    int
 
-	// BM delta receiver state, guarded by n.mu: the sender's epoch as
-	// last established by a keyframe.
+	// Receiver state, guarded by n.mu: the partner's last buffer map on
+	// this conn, when it was refreshed (zero: no map yet — the adaptation
+	// planner expires a hung partner's frozen map by this stamp), and the
+	// sender's delta epoch as last established by a keyframe.
+	bm      buffer.BufferMap
+	bmAt    time.Time
 	rxEpoch uint8
 	rxHave  bool
+	// seen is the UnixNano of the last inbound frame of ANY kind — the
+	// liveness signal the maintenance loop checks against its staleness
+	// deadline. Seeded at registration; the read loop stores it without
+	// the node lock.
+	seen atomic.Int64
 }
 
 // send hands one frame to the partner: enqueued on the batched writer
@@ -221,14 +234,6 @@ type Node struct {
 	cond    *sync.Cond
 	conns   map[int32]*conn
 	pushers map[pushKey]*pusherState
-	lastBM  map[int32]buffer.BufferMap
-	// lastBMAt stamps each lastBM refresh so the adaptation planner can
-	// expire a hung partner's frozen map (see planSwitchLocked).
-	lastBMAt map[int32]time.Time
-	// lastSeen stamps the last inbound frame of ANY kind per partner —
-	// the liveness signal the maintenance loop checks against its
-	// staleness deadline. Seeded at registration time.
-	lastSeen map[int32]time.Time
 	// mcache is the local membership cache (§II): gossiped and
 	// tracker-fetched candidates the maintenance loop replenishes from.
 	mcache map[int32]mcacheEntry
@@ -241,8 +246,8 @@ type Node struct {
 	boot     Bootstrap
 	selfAddr string
 	mgr      ManagerConfig
-	// laneParent tracks which partner serves each sub-stream, for the
-	// adaptation monitor (see adapt.go). -1 = untracked.
+	// laneParent is the partner serving each sub-stream (-1: nobody),
+	// set by SubscribeTracked and read by the adaptation monitor.
 	laneParent []int32
 	sb         *buffer.SyncBuffer
 	cb         *buffer.CacheBuffer
@@ -299,10 +304,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.QueueBytes = defaultQueueBytes
 	}
 	if cfg.MaxFrameBytes <= 0 {
-		cfg.MaxFrameBytes = cfg.Layout.BlockBytes + 4096
-		if cfg.MaxFrameBytes < 16*1024 {
-			cfg.MaxFrameBytes = 16 * 1024
-		}
+		cfg.MaxFrameBytes = max(cfg.Layout.BlockBytes+4096, 16*1024)
 	}
 	if cfg.HandshakeTimeout == 0 {
 		cfg.HandshakeTimeout = DefaultHandshakeTimeout
@@ -321,9 +323,6 @@ func New(cfg Config) (*Node, error) {
 		payload:    make([]byte, cfg.Layout.BlockBytes),
 		conns:      make(map[int32]*conn),
 		pushers:    make(map[pushKey]*pusherState),
-		lastBM:     make(map[int32]buffer.BufferMap),
-		lastBMAt:   make(map[int32]time.Time),
-		lastSeen:   make(map[int32]time.Time),
 		mcache:     make(map[int32]mcacheEntry),
 		failedDial: make(map[int32]time.Time),
 		laneParent: make([]int32, cfg.Layout.K),
@@ -410,30 +409,29 @@ func (n *Node) acceptLoop() {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			n.handleInbound(c)
+			cn, fr := n.handleInbound(c)
+			if n.hsSem != nil {
+				// The slot covers the handshake only: a partnership may
+				// run for hours and must not hold it.
+				<-n.hsSem
+			}
+			if cn == nil {
+				c.Close()
+				return
+			}
+			n.readLoop(cn, fr)
 		}()
 	}
 }
 
-// handleInbound performs the accept side of the partnership handshake.
-func (n *Node) handleInbound(c net.Conn) {
-	// Release the handshake slot exactly once: on every early return,
-	// or as soon as the partnership is registered (the readLoop may run
-	// for hours; it must not hold a handshake slot).
-	released := n.hsSem == nil
-	releaseHS := func() {
-		if !released {
-			released = true
-			<-n.hsSem
-		}
-	}
-	defer releaseHS()
+// handleInbound performs the accept side of the partnership handshake
+// and returns the registered partnership, or nil when it was refused.
+func (n *Node) handleInbound(c net.Conn) (*conn, *protocol.FrameReader) {
 	c.SetReadDeadline(time.Now().Add(n.cfg.HandshakeTimeout))
 	fr := protocol.NewFrameReaderLimit(c, n.cfg.MaxFrameBytes)
 	req, err := fr.Read()
 	if err != nil || req.Type != protocol.TypePartnerRequest {
-		c.Close()
-		return
+		return nil, nil
 	}
 	cn := &conn{peer: req.From, wt: n.cfg.WriteTimeout, c: c, n: n}
 	if req.Addr != "" && req.From != n.cfg.ID {
@@ -447,8 +445,7 @@ func (n *Node) handleInbound(c net.Conn) {
 		// registering it would record a self-partnership and evict any
 		// legitimate conn keyed on our ID.
 		cn.send(protocol.Message{Type: protocol.TypePartnerReject, From: n.cfg.ID, To: req.From})
-		c.Close()
-		return
+		return nil, nil
 	}
 	if !n.reservePartnerSlot(req.From) {
 		// Admission control: the partner set is full. Reject, but hand
@@ -460,22 +457,18 @@ func (n *Node) handleInbound(c net.Conn) {
 			Type: protocol.TypePartnerReject, From: n.cfg.ID, To: req.From,
 			Entries: n.rejectAlternates(req.From),
 		})
-		c.Close()
-		return
+		return nil, nil
 	}
 	if err := cn.send(protocol.Message{Type: protocol.TypePartnerAccept, From: n.cfg.ID, To: req.From}); err != nil {
 		n.releasePartnerSlot()
-		c.Close()
-		return
+		return nil, nil
 	}
 	c.SetReadDeadline(time.Time{})
-	if n.registerReserved(cn) != regLive {
-		c.Close()
-		return
+	if n.register(cn) != regLive {
+		return nil, nil
 	}
 	n.adm.partnersAdmitted.Add(1)
-	releaseHS()
-	n.readLoop(cn, fr)
+	return cn, fr
 }
 
 // Connect establishes a partnership towards addr and returns the
@@ -566,17 +559,13 @@ const (
 // the lower-ID node survives (the dialer sees it as outgoing, the
 // acceptor as incoming, so both resolve to the same TCP connection). A
 // same-direction duplicate is a reconnect and supersedes the stale conn.
-func (n *Node) register(cn *conn) regStatus { return n.registerConn(cn, false) }
-
-// registerReserved is register for an inbound conn holding a partner
-// slot reservation from reservePartnerSlot; the reservation converts
-// into (or is consumed by) the registration atomically.
-func (n *Node) registerReserved(cn *conn) regStatus { return n.registerConn(cn, true) }
-
-func (n *Node) registerConn(cn *conn, reserved bool) regStatus {
+// An inbound conn arrives holding the partner-slot reservation of
+// reservePartnerSlot, which converts into (or is consumed by) the
+// registration atomically.
+func (n *Node) register(cn *conn) regStatus {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if reserved {
+	if !cn.outgoing {
 		n.hsReserved--
 	}
 	if n.closed {
@@ -590,7 +579,7 @@ func (n *Node) registerConn(cn *conn, reserved bool) regStatus {
 		old.c.Close()
 	}
 	n.conns[cn.peer] = cn
-	n.lastSeen[cn.peer] = time.Now()
+	cn.seen.Store(time.Now().UnixNano())
 	// Attach the batched writer now, while cn is still invisible to
 	// other senders; a conn that lost the tie-break never gets one.
 	cn.startWriter()
@@ -598,8 +587,9 @@ func (n *Node) registerConn(cn *conn, reserved bool) regStatus {
 }
 
 // dropPartnerLocked removes a partnership exactly as the readLoop
-// teardown does: the conn is forgotten, its buffer map expired, and any
-// lane it served orphaned for the adaptation monitor. The caller closes
+// teardown does: the conn is forgotten — and with it the partner's
+// buffer map, epoch and liveness stamp — and any lane it served is
+// orphaned for the adaptation monitor. The caller closes
 // cn.c outside the lock; the conn's readLoop defer then finds the map
 // entry already gone and no-ops.
 func (n *Node) dropPartnerLocked(cn *conn) {
@@ -607,9 +597,6 @@ func (n *Node) dropPartnerLocked(cn *conn) {
 		return
 	}
 	delete(n.conns, cn.peer)
-	delete(n.lastBM, cn.peer)
-	delete(n.lastBMAt, cn.peer)
-	delete(n.lastSeen, cn.peer)
 	for j, p := range n.laneParent {
 		if p == cn.peer {
 			n.laneParent[j] = -1
@@ -641,14 +628,11 @@ func (n *Node) readLoop(cn *conn, fr *protocol.FrameReader) {
 			return
 		}
 		// Any frame proves the partner's control loop alive.
-		n.mu.Lock()
-		n.lastSeen[cn.peer] = time.Now()
-		n.mu.Unlock()
+		cn.seen.Store(time.Now().UnixNano())
 		switch m.Type {
 		case protocol.TypeBMExchange:
 			n.mu.Lock()
-			n.lastBM[cn.peer] = m.BM.Clone()
-			n.lastBMAt[cn.peer] = time.Now()
+			cn.bm, cn.bmAt = m.BM.Clone(), time.Now()
 			n.mu.Unlock()
 		case protocol.TypeBMDelta:
 			n.applyBMDelta(cn, m.Delta)
@@ -700,17 +684,13 @@ func (n *Node) applyBMDelta(cn *conn, d protocol.BMDelta) {
 	n.mu.Lock()
 	if d.Absolute {
 		if bm, err := protocol.ApplyBMDelta(buffer.BufferMap{}, d); err == nil {
-			n.lastBM[cn.peer] = bm
-			n.lastBMAt[cn.peer] = time.Now()
+			cn.bm, cn.bmAt = bm, time.Now()
 			cn.rxEpoch, cn.rxHave = d.Epoch, true
 			ack = true
 		}
 	} else if cn.rxHave && d.Epoch == cn.rxEpoch {
-		if base, ok := n.lastBM[cn.peer]; ok {
-			if bm, err := protocol.ApplyBMDelta(base, d); err == nil {
-				n.lastBM[cn.peer] = bm
-				n.lastBMAt[cn.peer] = time.Now()
-			}
+		if bm, err := protocol.ApplyBMDelta(cn.bm, d); err == nil {
+			cn.bm, cn.bmAt = bm, time.Now()
 		}
 	}
 	n.mu.Unlock()
@@ -731,18 +711,35 @@ func (n *Node) orphanLaneFrom(peer int32, j int) {
 	}
 }
 
-// Subscribe asks partner peerID to push sub-stream j from startSeq.
-func (n *Node) Subscribe(peerID int32, j int, startSeq int64) error {
+// SubscribeTracked asks partner peerID to push sub-stream j from
+// startSeq and records it as the lane's parent — before the frame goes
+// out, so the parent's refusal notice (an Unsubscribe) cannot be
+// overwritten by a late record. A failed send leaves the lane orphaned.
+func (n *Node) SubscribeTracked(peerID int32, j int, startSeq int64) error {
 	n.mu.Lock()
 	cn := n.conns[peerID]
+	if cn != nil {
+		n.laneParent[j] = peerID
+	}
 	n.mu.Unlock()
 	if cn == nil {
 		return fmt.Errorf("netpeer: no partnership with %d", peerID)
 	}
-	return cn.send(protocol.Message{
+	err := cn.send(protocol.Message{
 		Type: protocol.TypeSubscribe, From: n.cfg.ID, To: peerID,
 		SubStream: int16(j), StartSeq: startSeq,
 	})
+	if err != nil {
+		n.orphanLaneFrom(peerID, j)
+	}
+	return err
+}
+
+// LaneParent returns the partner serving sub-stream j (-1 if none).
+func (n *Node) LaneParent(j int) int32 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.laneParent[j]
 }
 
 // startPusher serves one (child, sub-stream) subscription: it pushes
@@ -833,12 +830,7 @@ func (n *Node) abortPusher(cn *conn, j int) {
 
 // leaveTimeout caps teardown-path writes at one second so shutdown and
 // abort notices never stall on a dead peer's full write timeout.
-func leaveTimeout(wt time.Duration) time.Duration {
-	if wt > time.Second {
-		return time.Second
-	}
-	return wt
-}
+func leaveTimeout(wt time.Duration) time.Duration { return min(wt, time.Second) }
 
 // stopPusher cancels the pusher serving (peer, sub-stream), if any.
 func (n *Node) stopPusher(peer int32, j int) {
@@ -1062,22 +1054,42 @@ func (n *Node) Continuity() float64 {
 	return float64(n.onTime) / float64(n.total)
 }
 
-// PartnerBM returns the last buffer map received from a partner.
+// PartnerBM returns the last buffer map received from a partner on its
+// current connection.
 func (n *Node) PartnerBM(peer int32) (buffer.BufferMap, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	bm, ok := n.lastBM[peer]
-	return bm, ok
+	cn := n.conns[peer]
+	if cn == nil || cn.bmAt.IsZero() {
+		return buffer.BufferMap{}, false
+	}
+	return cn.bm, true
 }
 
-// Partners returns the current partner IDs.
+// Partners returns the current partner IDs in ascending order.
 func (n *Node) Partners() []int32 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	return n.partnerIDsLocked()
+}
+
+// connsLocked snapshots the partner records for use outside the lock.
+func (n *Node) connsLocked() []*conn {
+	out := make([]*conn, 0, len(n.conns))
+	for _, cn := range n.conns {
+		out = append(out, cn)
+	}
+	return out
+}
+
+// partnerIDsLocked lists the partner set in ascending ID order, so a
+// policy that walks it is a pure function of the set, not of map order.
+func (n *Node) partnerIDsLocked() []int32 {
 	out := make([]int32, 0, len(n.conns))
 	for id := range n.conns {
 		out = append(out, id)
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -1102,10 +1114,7 @@ func (n *Node) shutdown(graceful bool) {
 	n.closed = true
 	close(n.done)
 	n.cond.Broadcast()
-	conns := make([]*conn, 0, len(n.conns))
-	for _, cn := range n.conns {
-		conns = append(conns, cn)
-	}
+	conns := n.connsLocked()
 	boot := n.boot
 	n.mu.Unlock()
 	n.bkt.close()

@@ -165,7 +165,7 @@ func Run(cfg Config) (Report, error) {
 			return Report{}, err
 		}
 		for j := 0; j < cfg.Layout.K; j++ {
-			if err := p.Subscribe(0, j, start); err != nil {
+			if err := p.SubscribeTracked(0, j, start); err != nil {
 				return Report{}, fmt.Errorf("peer %d lane %d: %w", i, j, err)
 			}
 		}

@@ -25,10 +25,8 @@ import (
 	"time"
 
 	"coolstream/internal/buffer"
-	"coolstream/internal/faults"
 	"coolstream/internal/netboot"
 	"coolstream/internal/netpeer"
-	"coolstream/internal/sim"
 )
 
 // Config sizes one surge run. The zero value selects CI-friendly
@@ -288,9 +286,6 @@ func Run(cfg Config) (Report, error) {
 			st, jerr := p.Join(netpeer.JoinConfig{
 				Boot: bootClient(), SelfAddr: addr, Register: true,
 				TargetPartners: 2, Deadline: cfg.JoinDeadline,
-				Backoff: faults.Backoff{
-					Base: 100 * sim.Millisecond, Cap: 800 * sim.Millisecond, JitterFrac: 0.5,
-				},
 			})
 			outcomes[i] = JoinOutcome{ID: id, Stats: st}
 			if jerr != nil {
