@@ -45,6 +45,15 @@ func (m BufferMap) Clone() BufferMap {
 	return c
 }
 
+// CopyFrom makes m a deep copy of src in m's own storage, which is
+// replaced only when it is too small: a long-lived map tracks another
+// without allocating.
+func (m *BufferMap) CopyFrom(src BufferMap) {
+	m.Reset(src.K())
+	copy(m.Latest, src.Latest)
+	copy(m.Subscribed, src.Subscribed)
+}
+
 // MaxLatest returns the largest Latest entry (used by Inequality (2)'s
 // max over partners).
 func (m BufferMap) MaxLatest() int64 {

@@ -104,3 +104,30 @@ func TestBufferMapClone(t *testing.T) {
 		t.Fatal("Clone shares storage with original")
 	}
 }
+
+func TestBufferMapCopyFrom(t *testing.T) {
+	src := NewBufferMap(3)
+	src.Latest[1], src.Subscribed[2] = 7, true
+	var dst BufferMap
+	dst.CopyFrom(src)
+	if dst.K() != 3 || dst.Latest[1] != 7 || !dst.Subscribed[2] {
+		t.Fatalf("copy %v %v", dst.Latest, dst.Subscribed)
+	}
+	dst.Latest[1], dst.Subscribed[2] = 9, false
+	if src.Latest[1] != 7 || !src.Subscribed[2] {
+		t.Fatal("copy aliases its source")
+	}
+	// Storage that fits is kept: tracking another map costs nothing.
+	first := &dst.Latest[0]
+	if allocs := testing.AllocsPerRun(100, func() { dst.CopyFrom(src) }); allocs > 0 {
+		t.Fatalf("CopyFrom into fitting storage allocates %.1f/op", allocs)
+	}
+	if &dst.Latest[0] != first || dst.Latest[1] != 7 {
+		t.Fatal("CopyFrom replaced storage that fit")
+	}
+	narrow := NewBufferMap(1)
+	dst.CopyFrom(narrow)
+	if dst.K() != 1 || dst.Validate() != nil {
+		t.Fatalf("copy of a narrower map has K %d", dst.K())
+	}
+}

@@ -96,7 +96,8 @@ type switchPlan struct {
 func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bool) {
 	k := n.cfg.Layout.K
 	now := time.Now()
-	// live reports whether a partner's buffer map exists and is fresh.
+	// live reports whether a partner's buffer map exists and is fresh; a
+	// map that exists is k lanes wide (the read loop drops any other).
 	live := func(cn *conn) bool {
 		return cn != nil && !cn.bmAt.IsZero() && (cfg.BMStale <= 0 || now.Sub(cn.bmAt) <= cfg.BMStale)
 	}
@@ -134,7 +135,7 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 			// is fed by a partner we cannot reason about — treat as
 			// violated rather than let a frozen map protect it.
 			violated = true
-		} else if cn.bm.K() == k && best-cn.bm.Latest[j] >= cfg.Tp {
+		} else if best-cn.bm.Latest[j] >= cfg.Tp {
 			violated = true // Inequality (2)
 		}
 		if violated && lag1 > worstLag {
@@ -148,7 +149,7 @@ func (n *Node) planSwitchLocked(cfg AdaptConfig, rng *xrand.RNG) (switchPlan, bo
 	// Tp of the best advertiser, with a live buffer map.
 	var cands []int32
 	for pid, cn := range n.conns {
-		if !live(cn) || cn.bm.K() != k || pid == n.laneParent[worst] {
+		if !live(cn) || pid == n.laneParent[worst] {
 			continue
 		}
 		if cn.bm.Latest[worst] <= own[worst] {

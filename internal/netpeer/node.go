@@ -150,9 +150,10 @@ type conn struct {
 	qErr     error
 
 	// BM delta sender state, guarded by n.mu: the last map sent on this
-	// conn, the current epoch, whether the receiver acked it, and how
-	// many deltas followed the last keyframe. bmFails is touched only
-	// by the bmLoop goroutine.
+	// conn (its own K-wide storage, rewritten in place every exchange),
+	// the current epoch, whether the receiver acked it, and how many
+	// deltas followed the last keyframe. bmFails is touched only by the
+	// bmLoop goroutine.
 	bmSent     buffer.BufferMap
 	bmHave     bool
 	bmEpoch    uint8
@@ -161,7 +162,8 @@ type conn struct {
 	bmFails    int
 
 	// Receiver state, guarded by n.mu: the partner's last buffer map on
-	// this conn, when it was refreshed (zero: no map yet — the adaptation
+	// this conn — Layout.K lanes wide or empty, updated in place by the
+	// read loop — when it was refreshed (zero: no map yet; the adaptation
 	// planner expires a hung partner's frozen map by this stamp), and the
 	// sender's delta epoch as last established by a keyframe.
 	bm      buffer.BufferMap
@@ -274,14 +276,16 @@ type Node struct {
 	hsSem chan struct{}
 
 	// stats are the data-plane counters (see stats.go); fanMu guards the
-	// shared fan-out frame cache (see fanFrame in writer.go). adm are
-	// the admission-control counters (see admission.go).
-	adm      admissionStats
-	stats    netStats
-	fanMu    sync.Mutex
-	fanCache map[fanKey][]byte
-	fanOrder []fanKey
-	fanPos   int
+	// shared fan-out frame cache — the ring, the slot the next encode
+	// overwrites, and the free list of unreferenced frame buffers (see
+	// fanFrame in writer.go). adm are the admission-control counters
+	// (see admission.go).
+	adm     admissionStats
+	stats   netStats
+	fanMu   sync.Mutex
+	fanRing [fanCacheCap]fanSlot
+	fanPos  int
+	fanFree []*fanBuf
 
 	wg sync.WaitGroup
 }
@@ -620,8 +624,9 @@ func (n *Node) readLoop(cn *conn, fr *protocol.FrameReader) {
 		n.mu.Unlock()
 	}()
 	// One message reused across frames: every handler below either
-	// copies what it keeps (BM.Clone, mcacheAdd's strings) or finishes
-	// with the data before the next ReadInto overwrites it.
+	// copies what it keeps (the partner's map into cn.bm, mcacheAdd's
+	// strings) or finishes with the data before the next ReadInto
+	// overwrites it.
 	var m protocol.Message
 	for {
 		if err := fr.ReadInto(&m); err != nil {
@@ -631,8 +636,12 @@ func (n *Node) readLoop(cn *conn, fr *protocol.FrameReader) {
 		cn.seen.Store(time.Now().UnixNano())
 		switch m.Type {
 		case protocol.TypeBMExchange:
+			if m.BM.K() != n.cfg.Layout.K {
+				break // not this stream's map: dropped like a delta of the wrong width
+			}
 			n.mu.Lock()
-			cn.bm, cn.bmAt = m.BM.Clone(), time.Now()
+			cn.bm.CopyFrom(m.BM)
+			cn.bmAt = time.Now()
 			n.mu.Unlock()
 		case protocol.TypeBMDelta:
 			n.applyBMDelta(cn, m.Delta)
@@ -673,24 +682,27 @@ func (n *Node) readLoop(cn *conn, fr *protocol.FrameReader) {
 }
 
 // applyBMDelta folds one differential buffer-map update into the
-// partner's tracked map. A keyframe (absolute delta) replaces the map,
-// establishes the conn's receive epoch and is acknowledged, closing the
-// sender's resync loop; a relative delta applies only when it chains
-// cleanly (epoch matches and a base map exists) — otherwise it is
-// dropped and the map simply goes stale until the sender's next
-// keyframe, exactly as if the frame were lost.
+// partner's tracked map, in place. A keyframe (absolute delta) replaces
+// the map, establishes the conn's receive epoch and is acknowledged,
+// closing the sender's resync loop; a relative delta applies only when
+// it chains cleanly (epoch matches and a base map exists) — otherwise
+// it is dropped and the map simply goes stale until the sender's next
+// keyframe, exactly as if the frame were lost. So is any delta that
+// does not describe Layout.K lanes: a partner's map is this stream's
+// width or absent, and the planner's maxima never see another shape.
 func (n *Node) applyBMDelta(cn *conn, d protocol.BMDelta) {
+	if d.K() != n.cfg.Layout.K {
+		return
+	}
 	ack := false
 	n.mu.Lock()
-	if d.Absolute {
-		if bm, err := protocol.ApplyBMDelta(buffer.BufferMap{}, d); err == nil {
-			cn.bm, cn.bmAt = bm, time.Now()
-			cn.rxEpoch, cn.rxHave = d.Epoch, true
-			ack = true
-		}
-	} else if cn.rxHave && d.Epoch == cn.rxEpoch {
-		if bm, err := protocol.ApplyBMDelta(cn.bm, d); err == nil {
-			cn.bm, cn.bmAt = bm, time.Now()
+	if d.Absolute || (cn.rxHave && d.Epoch == cn.rxEpoch) {
+		if protocol.ApplyBMDeltaInto(&cn.bm, d) == nil {
+			cn.bmAt = time.Now()
+			if d.Absolute {
+				cn.rxEpoch, cn.rxHave = d.Epoch, true
+				ack = true
+			}
 		}
 	}
 	n.mu.Unlock()
@@ -928,7 +940,12 @@ func (n *Node) bmLoop() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.BMPeriod)
 	defer ticker.Stop()
-	var bm buffer.BufferMap // reused across ticks; copied at encode time
+	// The tick's map and the delta scratch live as long as the loop:
+	// every frame is encoded before send returns, so one delta's storage
+	// serves every partner of every tick.
+	k := n.cfg.Layout.K
+	bm := buffer.NewBufferMap(k) // Subscribed stays all-false
+	lanes, sub := make([]int64, 0, k), make([]bool, 0, k)
 	conns := make([]*conn, 0, 8)
 	for {
 		select {
@@ -943,10 +960,8 @@ func (n *Node) bmLoop() {
 		}
 		started := n.started
 		if started {
-			bm.Reset(n.cfg.Layout.K)
-			for j := 0; j < n.cfg.Layout.K; j++ {
+			for j := range bm.Latest {
 				bm.Latest[j] = n.sb.Latest(j)
-				bm.Subscribed[j] = false
 			}
 		}
 		conns = conns[:0]
@@ -954,9 +969,6 @@ func (n *Node) bmLoop() {
 			conns = append(conns, cn)
 		}
 		n.mu.Unlock()
-		// One clone shared (read-only) as every conn's bmSent
-		// base for next tick's diff.
-		var tickBM buffer.BufferMap
 		for _, cn := range conns {
 			var m protocol.Message
 			switch {
@@ -965,35 +977,26 @@ func (n *Node) bmLoop() {
 				// heartbeat instead, so partners can tell a quiet node
 				// from a hung one.
 				m = protocol.Message{Type: protocol.TypePing, From: n.cfg.ID, To: cn.peer}
-			case n.cfg.Layout.K > protocol.MaxDeltaLanes:
+			case k > protocol.MaxDeltaLanes:
 				m = protocol.Message{Type: protocol.TypeBMExchange, From: n.cfg.ID, To: cn.peer, BM: bm}
 			default:
-				if tickBM.K() == 0 {
-					tickBM = bm.Clone()
-				}
 				m = protocol.Message{Type: protocol.TypeBMDelta, From: n.cfg.ID, To: cn.peer}
 				n.mu.Lock()
 				key := !cn.bmHave || cn.bmSinceKey+1 >= defaultBMKeyframeEvery ||
 					(!cn.bmAcked && cn.bmSinceKey+1 > bmAckGrace)
-				var d protocol.BMDelta
-				var derr error
-				if !key {
-					d, derr = protocol.DiffBM(cn.bmSent, tickBM, cn.bmEpoch)
-					key = derr != nil
-				}
+				// Neither kernel can fail: K >= 1 is validated, and bmSent
+				// is K wide whenever bmHave says it was written.
 				if key {
 					cn.bmEpoch++
-					d, derr = protocol.KeyBM(tickBM, cn.bmEpoch)
+					m.Delta, _ = protocol.KeyBMInto(lanes, sub, bm, cn.bmEpoch)
 					cn.bmAcked, cn.bmSinceKey = false, 0
 				} else {
+					m.Delta, _ = protocol.DiffBMInto(lanes, sub, cn.bmSent, bm, cn.bmEpoch)
 					cn.bmSinceKey++
 				}
-				cn.bmSent, cn.bmHave = tickBM, derr == nil
+				cn.bmSent.CopyFrom(bm)
+				cn.bmHave = true
 				n.mu.Unlock()
-				if derr != nil {
-					continue // unreachable with a validated layout
-				}
-				m.Delta = d
 			}
 			if err := cn.send(m); err != nil {
 				cn.bmFails++
@@ -1054,8 +1057,9 @@ func (n *Node) Continuity() float64 {
 	return float64(n.onTime) / float64(n.total)
 }
 
-// PartnerBM returns the last buffer map received from a partner on its
-// current connection.
+// PartnerBM returns a copy of the last buffer map received from a
+// partner on its current connection (the record itself is rewritten in
+// place by the read loop).
 func (n *Node) PartnerBM(peer int32) (buffer.BufferMap, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -1063,7 +1067,7 @@ func (n *Node) PartnerBM(peer int32) (buffer.BufferMap, bool) {
 	if cn == nil || cn.bmAt.IsZero() {
 		return buffer.BufferMap{}, false
 	}
-	return cn.bm, true
+	return cn.bm.Clone(), true
 }
 
 // Partners returns the current partner IDs in ascending order.

@@ -4,7 +4,9 @@ import (
 	"testing"
 	"time"
 
+	"coolstream/internal/buffer"
 	"coolstream/internal/netboot"
+	"coolstream/internal/protocol"
 )
 
 // TestSupersedingConnStartsWithoutBufferMap: what a node knows about a
@@ -225,6 +227,145 @@ func TestJoinSettlesForASmallOverlay(t *testing.T) {
 	for lane := 0; lane < testLayout.K; lane++ {
 		if got := j.LaneParent(lane); got != 0 {
 			t.Fatalf("lane %d parent %d, want the source", lane, got)
+		}
+	}
+}
+
+// TestWrongWidthMapsAreDropped speaks the wire by hand as a partner
+// that advertises maps of another lane count — a 1-lane keyframe and a
+// 1-lane full map with a huge head, a 5-lane relative delta — on a
+// K = 4 node. Stored as the partner's map, one such frame would set the
+// adaptation planner's best-progress reference and the join edge for
+// every lane (both take MaxLatest before looking at K). They must be
+// dropped at receive: no map, no refresh stamp, no ack, no epoch — and
+// the K-wide exchange around them keeps chaining. The node is capped and
+// has no buffers, so it answers a subscribe with an unsubscribe: the
+// test's proof that everything sent before it has been handled.
+func TestWrongWidthMapsAreDropped(t *testing.T) {
+	cfg := testConfig(1, 0)
+	cfg.UploadSlots = 1
+	n := mustNode(t, cfg)
+	addr := mustListen(t, n)
+	c := rawPartner(t, addr, 9)
+	fr := protocol.NewFrameReader(c)
+
+	send := func(m protocol.Message) {
+		t.Helper()
+		m.From, m.To = 9, 1
+		if err := protocol.WriteFrame(c, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// readUntil consumes the node's frames up to the first one of type
+	// typ, collecting every keyframe acknowledgement on the way.
+	var acks []uint8
+	readUntil := func(typ protocol.MsgType) {
+		t.Helper()
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			m, err := fr.Read()
+			if err != nil {
+				t.Fatalf("waiting for %v: %v", typ, err)
+			}
+			if m.Type == protocol.TypeBMAck {
+				acks = append(acks, m.AckEpoch)
+			}
+			if m.Type == typ {
+				return
+			}
+		}
+	}
+	// barrier returns once the node has handled everything sent so far.
+	barrier := func() {
+		t.Helper()
+		send(protocol.Message{Type: protocol.TypeSubscribe, SubStream: 0})
+		readUntil(protocol.TypeUnsubscribe)
+	}
+	narrow := buffer.NewBufferMap(1)
+	narrow.Latest[0] = 1 << 40
+	narrowKey, err := protocol.KeyBM(narrow, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: narrowKey})
+	send(protocol.Message{Type: protocol.TypeBMExchange, BM: narrow})
+	barrier()
+	if bm, ok := n.PartnerBM(9); ok {
+		t.Fatalf("1-lane map stored as the partner's: %v", bm.Latest)
+	}
+
+	wide := newTestBM(40)
+	wideKey, err := protocol.KeyBM(wide, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: wideKey})
+	narrowKey.Epoch = 9
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: narrowKey})
+	send(protocol.Message{Type: protocol.TypeBMExchange, BM: narrow})
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: protocol.BMDelta{Epoch: 8, Lanes: []int64{1, 1, 1, 1, 1}}})
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: protocol.BMDelta{Epoch: 8, Lanes: []int64{2, 2, 2, 2}}})
+	barrier()
+	bm, ok := n.PartnerBM(9)
+	if !ok || bm.K() != testLayout.K {
+		t.Fatalf("partner map %v (ok %v), want %d lanes", bm.Latest, ok, testLayout.K)
+	}
+	// The relative delta of epoch 8 still applied: the 1-lane keyframe
+	// of epoch 9 between them did not move the receive epoch.
+	for j, v := range bm.Latest {
+		if v != 42 {
+			t.Fatalf("lane %d at %d, want 42 (map %v)", j, v, bm.Latest)
+		}
+	}
+	// Acks leave through the writer queue in order (the refusals above
+	// bypass it), so up to the ack of one more keyframe the node must
+	// have acknowledged the K-wide keyframes and nothing else.
+	wideKey.Epoch = 10
+	send(protocol.Message{Type: protocol.TypeBMDelta, Delta: wideKey})
+	for len(acks) == 0 || acks[len(acks)-1] != 10 {
+		readUntil(protocol.TypeBMAck)
+	}
+	if len(acks) != 2 || acks[0] != 8 {
+		t.Fatalf("acknowledged epochs %v, want [8 10]", acks)
+	}
+}
+
+// TestPartnerBMIsACopy polls PartnerBM while the partner's deltas are
+// applied in place by the read loop: under -race a returned map that
+// shared the record's slices is a reported data race, and without it a
+// caller's scribble must not reach the record.
+func TestPartnerBMIsACopy(t *testing.T) {
+	cfg := testConfig(0, 0)
+	cfg.BMPeriod = 2 * time.Millisecond
+	src := mustNode(t, cfg)
+	addr := mustListen(t, src)
+	if err := src.StartSource(); err != nil {
+		t.Fatal(err)
+	}
+	peer := mustNode(t, testConfig(1, 0))
+	mustListen(t, peer)
+	if _, err := peer.Connect(addr); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 3*time.Second, func() bool { _, ok := peer.PartnerBM(0); return ok }, "no buffer map")
+	var sum int64
+	deadline := time.Now().Add(300 * time.Millisecond)
+	for time.Now().Before(deadline) {
+		bm, _ := peer.PartnerBM(0)
+		for j := range bm.Latest {
+			sum += bm.Latest[j]
+			bm.Latest[j] = -1
+			bm.Subscribed[j] = true
+		}
+	}
+	bm, ok := peer.PartnerBM(0)
+	if !ok || bm.K() != testLayout.K {
+		t.Fatalf("partner map %v (ok %v)", bm.Latest, ok)
+	}
+	for j := range bm.Latest {
+		if bm.Latest[j] < 0 || bm.Subscribed[j] {
+			t.Fatalf("a caller's write reached the partner record: %v %v (sum %d)", bm.Latest, bm.Subscribed, sum)
 		}
 	}
 }

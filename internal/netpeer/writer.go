@@ -3,6 +3,7 @@ package netpeer
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"coolstream/internal/protocol"
@@ -40,7 +41,8 @@ const (
 	// bmFailLimit is how many consecutive BM send failures a partner
 	// may accumulate before the BM loop tears the partnership down.
 	bmFailLimit = 3
-	// fanCacheCap bounds the shared fan-out frame cache (see fanFrame).
+	// fanCacheCap bounds the shared fan-out frame cache, and the free
+	// list of frame buffers behind it (see fanFrame).
 	fanCacheCap = 128
 )
 
@@ -49,22 +51,33 @@ var (
 	errConnClosed  = errors.New("netpeer: connection closed")
 )
 
-// outFrame is one encoded frame awaiting flush.
+// outFrame is one encoded frame awaiting flush. Exactly one of bp and
+// fan is set.
 type outFrame struct {
 	buf []byte
-	// bp is the pool box to return after flushing; nil for shared
-	// fan-out buffers, which are immutable and never recycled.
+	// bp is the pool box to return after flushing a frame encoded for
+	// this conn alone.
 	bp *[]byte
+	// fan is the shared fan-out frame buf belongs to; this entry holds
+	// one reference to it.
+	fan *fanBuf
 }
 
 // encPool recycles per-frame encode buffers across all connections.
 var encPool = sync.Pool{New: func() any { b := make([]byte, 0, 2048); return &b }}
 
-func (f *outFrame) release() {
+// release gives the frame's buffer back — to the pool, or one reference
+// to node n's fan-out cache. Every path that takes a frame off a queue,
+// flushed or not, ends here.
+func (f *outFrame) release(n *Node) {
 	if f.bp != nil {
 		*f.bp = f.buf[:0]
 		encPool.Put(f.bp)
 		f.bp = nil
+	}
+	if f.fan != nil {
+		n.fanUnref(f.fan)
+		f.fan = nil
 	}
 	f.buf = nil
 }
@@ -92,10 +105,10 @@ func (cn *conn) enqueueMsg(m protocol.Message) error {
 	return cn.enqueue(outFrame{buf: buf, bp: bp}, m.Type)
 }
 
-// enqueueShared queues an immutable pre-encoded frame shared across
-// partners (the fan-out block path).
-func (cn *conn) enqueueShared(buf []byte) error {
-	return cn.enqueue(outFrame{buf: buf}, protocol.TypeBlockPush)
+// enqueueShared queues a pre-encoded frame shared across partners (the
+// fan-out block path), taking over the reference fanFrame handed out.
+func (cn *conn) enqueueShared(fb *fanBuf) error {
+	return cn.enqueue(outFrame{buf: fb.buf, fan: fb}, protocol.TypeBlockPush)
 }
 
 func (cn *conn) enqueue(f outFrame, typ protocol.MsgType) error {
@@ -104,14 +117,14 @@ func (cn *conn) enqueue(f outFrame, typ protocol.MsgType) error {
 	if cn.qErr != nil {
 		err := cn.qErr
 		cn.qmu.Unlock()
-		f.release()
+		f.release(cn.n)
 		return err
 	}
 	if cn.qBytes+size > cn.n.cfg.QueueBytes {
 		cn.qErr = errSlowPartner
 		cn.qcond.Broadcast()
 		cn.qmu.Unlock()
-		f.release()
+		f.release(cn.n)
 		// Wake the readLoop, which owns partner teardown.
 		cn.c.Close()
 		cn.n.mu.Lock()
@@ -143,7 +156,7 @@ func (cn *conn) closeQueue(err error) {
 // dropQueueLocked releases every queued frame (qmu held).
 func (cn *conn) dropQueueLocked() {
 	for i := range cn.q {
-		cn.q[i].release()
+		cn.q[i].release(cn.n)
 	}
 	cn.q = nil
 	cn.qBytes = 0
@@ -153,7 +166,9 @@ func (cn *conn) writerLoop() {
 	n := cn.n
 	defer n.wg.Done()
 	flushDelay := n.cfg.FlushDelay
-	flush := make([]byte, 0, defaultFlushBytes)
+	// flush grows with the bursts this conn actually sees, up to the
+	// defaultFlushBytes the loop below takes per write.
+	var flush []byte
 	for {
 		cn.qmu.Lock()
 		for len(cn.q) == 0 && cn.qErr == nil {
@@ -185,7 +200,7 @@ func (cn *conn) writerLoop() {
 				break
 			}
 			flush = append(flush, f.buf...)
-			f.release()
+			f.release(n)
 			taken++
 		}
 		rest := copy(cn.q, cn.q[taken:])
@@ -218,47 +233,103 @@ func (cn *conn) writerLoop() {
 	}
 }
 
-// fanKey identifies one block for the shared fan-out encoder.
-type fanKey struct {
+// fanBuf is one shared encoded BlockPush frame. refs counts its
+// holders — the cache slot, and every writer-queue entry that points at
+// buf — and the last one to let go returns it to the node's free list:
+// buf is rewritten only once the cache has evicted it and every writer
+// has flushed or dropped it.
+type fanBuf struct {
+	buf  []byte
+	refs atomic.Int32
+}
+
+// fanSlot is one cache entry: the block it holds and its frame.
+type fanSlot struct {
 	j   int
 	seq int64
+	fb  *fanBuf
 }
 
 // fanFrame returns the shared encoded BlockPush frame for block (j,
-// seq): a source (or relay) pushing one block to N children encodes it
-// once and every child's writer enqueues the same immutable buffer.
-// The cache is a small ring — pushers all work near the live edge, so
-// entries are reused within a block period and evicted shortly after.
-func (n *Node) fanFrame(j int, seq int64) ([]byte, error) {
-	key := fanKey{j: j, seq: seq}
+// seq), with one reference taken for the caller's queue entry: a source
+// (or relay) pushing one block to N children encodes it once and every
+// child's writer enqueues the same buffer. The cache is a small ring in
+// encode order — pushers all work near the live edge, so an entry is
+// found within a few steps of the newest and evicted shortly after its
+// block period. Buffers are exactly one frame long and cycle between
+// the ring, the writer queues and a free list no longer than the ring,
+// so a node whose fan-out has settled allocates none.
+func (n *Node) fanFrame(j int, seq int64) (*fanBuf, error) {
 	n.fanMu.Lock()
-	if buf, ok := n.fanCache[key]; ok {
-		n.fanMu.Unlock()
-		n.stats.fanShared.Add(1)
-		return buf, nil
+	defer n.fanMu.Unlock()
+	for i := 1; i <= fanCacheCap; i++ {
+		s := &n.fanRing[(n.fanPos+fanCacheCap-i)%fanCacheCap]
+		if s.fb == nil {
+			break // the ring fills in order: nothing older exists
+		}
+		if s.j == j && s.seq == seq {
+			s.fb.refs.Add(1)
+			n.stats.fanShared.Add(1)
+			return s.fb, nil
+		}
 	}
-	buf, err := protocol.AppendFrame(nil, protocol.Message{
+	size := protocol.BlockPushOverhead + n.cfg.Layout.BlockBytes
+	if n.fanFree == nil {
+		// This node's first encode: stock the free list with the ring's
+		// worth of buffers cut from one slab, so filling the cache costs
+		// three allocations, not two per block. A node that never serves
+		// never pays for it.
+		n.fanFree = make([]*fanBuf, fanCacheCap)
+		fbs, slab := make([]fanBuf, fanCacheCap), make([]byte, fanCacheCap*size)
+		for i := range fbs {
+			fbs[i].buf = slab[i*size : i*size : (i+1)*size]
+			n.fanFree[i] = &fbs[i]
+		}
+	}
+	var fb *fanBuf
+	if last := len(n.fanFree) - 1; last >= 0 {
+		fb, n.fanFree = n.fanFree[last], n.fanFree[:last]
+	} else {
+		// Writer queues hold more frames than the cache has let go of.
+		fb = &fanBuf{buf: make([]byte, 0, size)}
+	}
+	buf, err := protocol.AppendFrame(fb.buf[:0], protocol.Message{
 		// To is -1: the frame is addressed to every subscribed child;
 		// receivers identify the push by (SubStream, StartSeq) alone.
 		Type: protocol.TypeBlockPush, From: n.cfg.ID, To: -1,
 		SubStream: int16(j), StartSeq: seq, Payload: n.payload,
 	})
 	if err != nil {
-		n.fanMu.Unlock()
+		n.fanRecycleLocked(fb)
 		return nil, err
 	}
-	if n.fanCache == nil {
-		n.fanCache = make(map[fanKey][]byte, fanCacheCap)
+	fb.buf = buf
+	fb.refs.Store(2) // the slot's and the caller's
+	slot := &n.fanRing[n.fanPos]
+	if old := slot.fb; old != nil && old.refs.Add(-1) == 0 {
+		n.fanRecycleLocked(old)
 	}
-	if len(n.fanOrder) < fanCacheCap {
-		n.fanOrder = append(n.fanOrder, key)
-	} else {
-		delete(n.fanCache, n.fanOrder[n.fanPos])
-		n.fanOrder[n.fanPos] = key
-		n.fanPos = (n.fanPos + 1) % fanCacheCap
-	}
-	n.fanCache[key] = buf
-	n.fanMu.Unlock()
+	*slot = fanSlot{j: j, seq: seq, fb: fb}
+	n.fanPos = (n.fanPos + 1) % fanCacheCap
 	n.stats.fanEncodes.Add(1)
-	return buf, nil
+	return fb, nil
+}
+
+// fanUnref drops one reference to fb; the last holder recycles it.
+func (n *Node) fanUnref(fb *fanBuf) {
+	if fb.refs.Add(-1) != 0 {
+		return
+	}
+	n.fanMu.Lock()
+	n.fanRecycleLocked(fb)
+	n.fanMu.Unlock()
+}
+
+// fanRecycleLocked puts an unreferenced buffer on the free list (fanMu
+// held). The list is bounded by the cache size; past that the buffer is
+// left to the collector — a burst of queue drops, not the steady state.
+func (n *Node) fanRecycleLocked(fb *fanBuf) {
+	if len(n.fanFree) < fanCacheCap {
+		n.fanFree = append(n.fanFree, fb)
+	}
 }

@@ -32,6 +32,7 @@ package protocol
 import (
 	"fmt"
 
+	"coolstream/internal/buffer"
 	"coolstream/internal/netmodel"
 )
 
@@ -265,19 +266,65 @@ func (s *scanner) done() {
 	}
 }
 
+// spares is decode storage not lent to a Message at the moment. A
+// slice is either here or in the message the last decode filled, never
+// in both, so a decoded message owns everything it points at.
+type spares struct {
+	entries []PeerEntry
+	payload []byte
+	lanes   []int64
+	sub     []bool
+	bm      buffer.BufferMap
+}
+
+// reclaim moves m's slices into sp, keeping the roomier of each pair.
+func (sp *spares) reclaim(m *Message) {
+	if cap(m.Entries) > cap(sp.entries) {
+		sp.entries = m.Entries[:0]
+	}
+	if cap(m.Payload) > cap(sp.payload) {
+		sp.payload = m.Payload[:0]
+	}
+	if cap(m.Delta.Lanes) > cap(sp.lanes) {
+		sp.lanes = m.Delta.Lanes[:0]
+	}
+	if cap(m.Delta.Sub) > cap(sp.sub) {
+		sp.sub = m.Delta.Sub[:0]
+	}
+	if cap(m.BM.Latest) > cap(sp.bm.Latest) && cap(m.BM.Subscribed) > cap(sp.bm.Subscribed) {
+		sp.bm = m.BM
+	}
+}
+
+// take moves *spare's array out as a slice of length n, or allocates
+// one when it is too small.
+func take[T any](spare *[]T, n int) []T {
+	s := *spare
+	*spare = nil
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
 // DecodeMessage decodes one message into *m, accepting exactly the
-// canonical encodings AppendMessage produces. Slices already present
-// in *m (Entries, BM storage, Payload, Delta lanes/sub) are reused
-// when their capacity suffices, so a long-lived Message makes
-// steady-state decoding allocation-free for the hot types. All other
-// fields are reset; decoded strings still allocate (cold types only).
+// canonical encodings AppendMessage produces. Every field is reset;
+// the slices *m held for the decoded type's own fields (Entries, BM
+// storage, Payload, Delta lanes/sub) are reused when their capacity
+// suffices, and those of other fields are dropped — so a long-lived
+// Message decodes a run of one hot type without allocating, while a
+// mix of types allocates at every change of type. FrameReader.ReadInto
+// keeps the dropped storage and has no such limit. Decoded strings
+// always allocate (cold types only).
 func DecodeMessage(data []byte, m *Message) error {
-	// Capture reusable storage, then clear the message.
-	entries := m.Entries[:0]
-	payload := m.Payload[:0]
-	lanes := m.Delta.Lanes[:0]
-	sub := m.Delta.Sub[:0]
-	bm := m.BM
+	var sp spares
+	return sp.decode(data, m)
+}
+
+// decode is the one decoder: it reclaims *m's storage into sp, clears
+// the message and fills it from data, drawing slices from sp.
+func (sp *spares) decode(data []byte, m *Message) error {
+	sp.reclaim(m)
 	*m = Message{}
 
 	s := &scanner{b: data}
@@ -296,7 +343,7 @@ func DecodeMessage(data []byte, m *Message) error {
 			m.AckEpoch = s.u8("ack epoch")
 		} else {
 			var err error
-			m.Delta, err = scanBMDeltaPayload(s, lanes, sub)
+			m.Delta, err = scanBMDeltaPayload(s, sp)
 			if err != nil {
 				return err
 			}
@@ -317,12 +364,7 @@ func DecodeMessage(data []byte, m *Message) error {
 		if s.err != nil {
 			return s.err
 		}
-		if cap(entries) >= n {
-			entries = entries[:n]
-		} else {
-			entries = make([]PeerEntry, n)
-		}
-		m.Entries = entries
+		m.Entries = take(&sp.entries, n)
 		for i := range m.Entries {
 			e := &m.Entries[i]
 			e.ID = int32(s.u32("entry id"))
@@ -361,6 +403,8 @@ func DecodeMessage(data []byte, m *Message) error {
 		if want := 2 + 8*k + (k+7)/8; len(body) != want {
 			return fmt.Errorf("buffer: buffer map length %d, want %d for K=%d", len(body), want, k)
 		}
+		bm := sp.bm
+		sp.bm = buffer.BufferMap{}
 		bm.Reset(k)
 		off := 2
 		for i := range bm.Latest {
@@ -389,13 +433,8 @@ func DecodeMessage(data []byte, m *Message) error {
 		if s.err != nil {
 			return s.err
 		}
-		if cap(payload) >= n {
-			payload = payload[:n]
-		} else {
-			payload = make([]byte, n)
-		}
-		copy(payload, body)
-		m.Payload = payload
+		m.Payload = take(&sp.payload, n)
+		copy(m.Payload, body)
 	case TypePartnerAccept, TypeLeave, TypePing:
 		// No payload.
 	default:

@@ -272,6 +272,78 @@ func TestFrameReaderZeroAllocSteadyState(t *testing.T) {
 			t.Errorf("%v: AppendFrame allocates %.1f/op at steady state", m.Type, allocs)
 		}
 	}
+
+	// A partner connection carries the hot types interleaved — block,
+	// block, delta, ack, block, full map … — and a relative delta has
+	// no bitmap, so each type must find the storage it left behind
+	// several frames ago, not only what the previous frame held.
+	rel := BMDelta{Epoch: 1, Lanes: []int64{1, 0, 2, 0, 0, 1}}
+	mix := []Message{hot[0], hot[0], {Type: TypeBMDelta, From: 1, To: 2, Delta: rel}, hot[3],
+		hot[0], hot[1], hot[4], hot[2]}
+	var wire []byte
+	const rounds = 40
+	for i := 0; i < rounds; i++ {
+		for _, m := range mix {
+			var err error
+			if wire, err = AppendFrame(wire, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(wire))
+	var dst Message
+	readRound := func() {
+		for _, want := range mix {
+			if err := fr.ReadInto(&dst); err != nil {
+				t.Fatal(err)
+			}
+			if dst.Type != want.Type || (dst.Delta.Sub == nil) != (want.Delta.Sub == nil) {
+				t.Fatalf("decoded %v (sub nil %v), want %v (sub nil %v)",
+					dst.Type, dst.Delta.Sub == nil, want.Type, want.Delta.Sub == nil)
+			}
+		}
+	}
+	readRound() // warm up: every slice reaches its size
+	if allocs := testing.AllocsPerRun(rounds-5, readRound); allocs > 0 {
+		t.Errorf("interleaved stream: ReadInto allocates %.2f per %d frames at steady state", allocs, len(mix))
+	}
+}
+
+// TestFrameReaderSparesNeverAliasAMessage: storage the reader keeps
+// between frames is never storage a returned message still points at —
+// Read's messages are the caller's to keep, also around ReadInto calls.
+func TestFrameReaderSparesNeverAliasAMessage(t *testing.T) {
+	push := func(seq int64, fill byte) Message {
+		return Message{Type: TypeBlockPush, From: 1, To: 2, StartSeq: seq, Payload: bytes.Repeat([]byte{fill}, 64)}
+	}
+	var wire []byte
+	for _, m := range []Message{push(1, 0xA1), {Type: TypePing, From: 1, To: 2}, push(2, 0xB2), push(3, 0xC3)} {
+		var err error
+		if wire, err = AppendFrame(wire, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := NewFrameReader(bytes.NewReader(wire))
+	var reused Message
+	if err := fr.ReadInto(&reused); err != nil { // block 1: reused owns a payload
+		t.Fatal(err)
+	}
+	if err := fr.ReadInto(&reused); err != nil { // ping: the payload moves to the reader
+		t.Fatal(err)
+	}
+	kept, err := fr.Read() // block 2 leaves with that storage
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fr.ReadInto(&reused); err != nil { // block 3 must not land on block 2
+		t.Fatal(err)
+	}
+	if kept.StartSeq != 2 || !bytes.Equal(kept.Payload, bytes.Repeat([]byte{0xB2}, 64)) {
+		t.Fatalf("message returned by Read was overwritten: seq %d payload % x…", kept.StartSeq, kept.Payload[:4])
+	}
+	if reused.StartSeq != 3 || reused.Payload[0] != 0xC3 {
+		t.Fatalf("reused message holds seq %d payload % x…", reused.StartSeq, reused.Payload[:4])
+	}
 }
 
 // TestFrameReaderOverTCP exercises the reader against a real socket

@@ -153,8 +153,9 @@ func appendBMDeltaPayload(dst []byte, d BMDelta) ([]byte, error) {
 // scanBMDeltaPayload decodes the canonical payload, rejecting every
 // non-canonical form (overlong varints, zero increments in the bitmap
 // form, a bitmap form whose increments are all equal, set bits beyond
-// lane k). lanes/sub scratch is reused when capacity allows.
-func scanBMDeltaPayload(s *scanner, lanes []int64, sub []bool) (BMDelta, error) {
+// lane k). Lanes and Sub are drawn from sp; a delta without a bitmap
+// leaves sp's in place for the next one that has it.
+func scanBMDeltaPayload(s *scanner, sp *spares) (BMDelta, error) {
 	var d BMDelta
 	d.Epoch = s.u8("bm-delta epoch")
 	flags := s.u8("bm-delta flags")
@@ -175,11 +176,7 @@ func scanBMDeltaPayload(s *scanner, lanes []int64, sub []bool) (BMDelta, error) 
 	if d.Absolute && flags&bmdSub == 0 {
 		return d, fmt.Errorf("protocol: bm-delta keyframe without subscription bitmap")
 	}
-	if cap(lanes) >= k {
-		d.Lanes = lanes[:k]
-	} else {
-		d.Lanes = make([]int64, k)
-	}
+	d.Lanes = take(&sp.lanes, k)
 	switch {
 	case d.Absolute:
 		for j := range d.Lanes {
@@ -223,16 +220,10 @@ func scanBMDeltaPayload(s *scanner, lanes []int64, sub []bool) (BMDelta, error) 
 		if err := checkBitmapTail(bits, k, "subscription"); err != nil {
 			return d, err
 		}
-		if cap(sub) >= k {
-			d.Sub = sub[:k]
-		} else {
-			d.Sub = make([]bool, k)
-		}
+		d.Sub = take(&sp.sub, k)
 		for j := range d.Sub {
 			d.Sub[j] = bits[j/8]&(1<<(j%8)) != 0
 		}
-	} else {
-		d.Sub = nil
 	}
 	return d, s.err
 }
@@ -250,34 +241,50 @@ func checkBitmapTail(bits []byte, k int, what string) error {
 
 // DiffBM builds the relative delta that takes prev to cur under the
 // given keyframe epoch. Sub is carried only when the subscription
-// bitmap changed.
+// bitmap changed. The result owns fresh storage.
 func DiffBM(prev, cur buffer.BufferMap, epoch uint8) (BMDelta, error) {
+	return DiffBMInto(nil, nil, prev, cur, epoch)
+}
+
+// DiffBMInto is DiffBM writing into caller-owned storage: the returned
+// delta's Lanes reuse lanes' array and its Sub, when the bitmap changed,
+// sub's (either is allocated when its capacity is short of K). A
+// sender that keeps K-wide scratch diffs without allocating; the delta
+// is valid until the scratch is written again.
+func DiffBMInto(lanes []int64, sub []bool, prev, cur buffer.BufferMap, epoch uint8) (BMDelta, error) {
 	if prev.K() != cur.K() || cur.K() == 0 {
 		return BMDelta{}, fmt.Errorf("protocol: diff over K %d vs %d", prev.K(), cur.K())
 	}
-	d := BMDelta{Epoch: epoch, Lanes: make([]int64, cur.K())}
-	for j := range d.Lanes {
-		d.Lanes[j] = cur.Latest[j] - prev.Latest[j]
+	d := BMDelta{Epoch: epoch, Lanes: lanes[:0]}
+	for j, v := range cur.Latest {
+		d.Lanes = append(d.Lanes, v-prev.Latest[j])
 	}
 	for j := range cur.Subscribed {
 		if cur.Subscribed[j] != prev.Subscribed[j] {
-			d.Sub = append([]bool(nil), cur.Subscribed...)
+			d.Sub = append(sub[:0], cur.Subscribed...)
 			break
 		}
 	}
 	return d, nil
 }
 
-// KeyBM builds the absolute keyframe delta for cur under epoch.
+// KeyBM builds the absolute keyframe delta for cur under epoch. The
+// result owns fresh storage.
 func KeyBM(cur buffer.BufferMap, epoch uint8) (BMDelta, error) {
+	return KeyBMInto(nil, nil, cur, epoch)
+}
+
+// KeyBMInto is KeyBM writing into caller-owned storage, under
+// DiffBMInto's contract.
+func KeyBMInto(lanes []int64, sub []bool, cur buffer.BufferMap, epoch uint8) (BMDelta, error) {
 	if cur.K() == 0 {
 		return BMDelta{}, fmt.Errorf("protocol: keyframe over empty buffer map")
 	}
 	return BMDelta{
 		Epoch:    epoch,
 		Absolute: true,
-		Lanes:    append([]int64(nil), cur.Latest...),
-		Sub:      append([]bool(nil), cur.Subscribed...),
+		Lanes:    append(lanes[:0], cur.Latest...),
+		Sub:      append(sub[:0], cur.Subscribed...),
 	}, nil
 }
 
@@ -286,25 +293,36 @@ func KeyBM(cur buffer.BufferMap, epoch uint8) (BMDelta, error) {
 // same K and returns base plus the increments. The result never aliases
 // base or d.
 func ApplyBMDelta(base buffer.BufferMap, d BMDelta) (buffer.BufferMap, error) {
-	if err := d.validate(); err != nil {
+	var nm buffer.BufferMap
+	if !d.Absolute {
+		nm = base.Clone()
+	}
+	if err := ApplyBMDeltaInto(&nm, d); err != nil {
 		return buffer.BufferMap{}, err
 	}
-	k := len(d.Lanes)
+	return nm, nil
+}
+
+// ApplyBMDeltaInto is ApplyBMDelta in place: a keyframe overwrites *bm
+// (reusing its storage when K lanes fit), a relative delta adds its
+// increments to it. *bm is untouched when an error is returned, and
+// never aliases d afterwards.
+func ApplyBMDeltaInto(bm *buffer.BufferMap, d BMDelta) error {
+	if err := d.validate(); err != nil {
+		return err
+	}
 	if d.Absolute {
-		nm := buffer.NewBufferMap(k)
-		copy(nm.Latest, d.Lanes)
-		copy(nm.Subscribed, d.Sub)
-		return nm, nil
+		bm.CopyFrom(buffer.BufferMap{Latest: d.Lanes, Subscribed: d.Sub})
+		return nil
 	}
-	if base.K() != k {
-		return buffer.BufferMap{}, fmt.Errorf("protocol: delta over K %d applied to base K %d", k, base.K())
+	if bm.K() != len(d.Lanes) {
+		return fmt.Errorf("protocol: delta over K %d applied to base K %d", len(d.Lanes), bm.K())
 	}
-	nm := base.Clone()
 	for j, inc := range d.Lanes {
-		nm.Latest[j] += inc
+		bm.Latest[j] += inc
 	}
 	if d.Sub != nil {
-		copy(nm.Subscribed, d.Sub)
+		copy(bm.Subscribed, d.Sub)
 	}
-	return nm, nil
+	return nil
 }

@@ -145,6 +145,24 @@ func randomBM(r *xrand.RNG, k int) buffer.BufferMap {
 	return bm
 }
 
+// stepBM mutates a sender's live map the way one BM period might.
+func stepBM(r *xrand.RNG, cur buffer.BufferMap) {
+	switch r.Intn(4) {
+	case 0: // uniform advance (the steady-state shape)
+		inc := r.Int63n(3)
+		for j := range cur.Latest {
+			cur.Latest[j] += inc
+		}
+	case 1: // skewed advance
+		for j := range cur.Latest {
+			cur.Latest[j] += r.Int63n(4)
+		}
+	case 2: // subscription churn
+		cur.Subscribed[r.Intn(cur.K())] = r.Bool(0.5)
+	case 3: // stall — no change
+	}
+}
+
 // TestBMDeltaReconstructionProperty simulates the sender/receiver state
 // machines across random interleavings of keyframes, deltas, stalls,
 // and reconnects (state loss): after every applied update the receiver
@@ -165,21 +183,7 @@ func TestBMDeltaReconstructionProperty(t *testing.T) {
 		var rxEpoch uint8
 
 		for step := 0; step < 40; step++ {
-			// Mutate the sender's live map.
-			switch r.Intn(4) {
-			case 0: // uniform advance (the steady-state shape)
-				inc := r.Int63n(3)
-				for j := range cur.Latest {
-					cur.Latest[j] += inc
-				}
-			case 1: // skewed advance
-				for j := range cur.Latest {
-					cur.Latest[j] += r.Int63n(4)
-				}
-			case 2: // subscription churn
-				cur.Subscribed[r.Intn(k)] = r.Bool(0.5)
-			case 3: // stall — no change
-			}
+			stepBM(r, cur)
 
 			// Occasionally the connection "drops": both sides lose
 			// per-conn state, forcing a keyframe.
@@ -267,5 +271,130 @@ func TestApplyBMDeltaDoesNotAliasBase(t *testing.T) {
 	out.Subscribed[0] = false
 	if base.Latest[0] != 5 || base.Subscribed[0] {
 		t.Fatal("apply aliased the base map")
+	}
+}
+
+// TestBMDeltaInPlaceMatchesWrappers is the differential property behind
+// the live stack's in-place map exchange: over random map sequences
+// (TestBMDeltaReconstructionProperty's generator) a sender that diffs
+// into one long-lived scratch and a receiver that applies into one
+// long-lived map produce the deltas, the wire bytes and the maps of the
+// allocating wrapper forms.
+func TestBMDeltaInPlaceMatchesWrappers(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := xrand.New(seed)
+		k := 1 + r.Intn(8)
+		cur := randomBM(r, k)
+		sent := cur.Clone()
+		lanes, sub := make([]int64, 0, k), make([]bool, 0, k)
+		var epoch uint8
+		var rx, rxIn buffer.BufferMap
+		for step := 0; step < 40; step++ {
+			stepBM(r, cur)
+			var want, got BMDelta
+			var errW, errG error
+			if step == 0 || r.Bool(0.15) {
+				epoch++
+				want, errW = KeyBM(cur, epoch)
+				got, errG = KeyBMInto(lanes, sub, cur, epoch)
+			} else {
+				want, errW = DiffBM(sent, cur, epoch)
+				got, errG = DiffBMInto(lanes, sub, sent, cur, epoch)
+			}
+			if errW != nil || errG != nil {
+				t.Logf("build: %v / %v", errW, errG)
+				return false
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Logf("step %d: wrapper %+v, in place %+v", step, want, got)
+				return false
+			}
+			if &got.Lanes[0] != &lanes[:1][0] || (got.Sub != nil && &got.Sub[0] != &sub[:1][0]) {
+				t.Logf("step %d: in-place delta left the caller's storage", step)
+				return false
+			}
+			a, _ := Marshal(Message{Type: TypeBMDelta, From: 1, To: 2, Delta: want})
+			b, _ := AppendMessage(nil, Message{Type: TypeBMDelta, From: 1, To: 2, Delta: got})
+			if !bytes.Equal(a, b) {
+				t.Logf("step %d: bytes differ", step)
+				return false
+			}
+			copy(sent.Latest, cur.Latest)
+			copy(sent.Subscribed, cur.Subscribed)
+
+			var err error
+			if rx, err = ApplyBMDelta(rx, want); err != nil {
+				t.Logf("apply: %v", err)
+				return false
+			}
+			if err := ApplyBMDeltaInto(&rxIn, got); err != nil {
+				t.Logf("apply in place: %v", err)
+				return false
+			}
+			if !reflect.DeepEqual(rx, rxIn) || !reflect.DeepEqual(rxIn.Latest, cur.Latest) {
+				t.Logf("step %d: wrapper map %v, in-place map %v, sender %v", step, rx, rxIn, cur)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestApplyBMDeltaIntoLeavesMapOnError: a delta that cannot apply must
+// not half-apply — the live receiver keeps the map it had.
+func TestApplyBMDeltaIntoLeavesMapOnError(t *testing.T) {
+	bm := buffer.NewBufferMap(4)
+	bm.Latest[0] = 7
+	for _, d := range []BMDelta{
+		{Lanes: []int64{1, 2}},                          // K mismatch
+		{Lanes: []int64{1, 1, 1, 1}, Sub: []bool{true}}, // sub/lane mismatch
+		{Absolute: true, Lanes: []int64{9, 9, 9, 9}},    // keyframe without bitmap
+	} {
+		if err := ApplyBMDeltaInto(&bm, d); err == nil {
+			t.Fatalf("%+v applied", d)
+		}
+		if bm.K() != 4 || bm.Latest[0] != 7 || bm.Latest[1] != 0 {
+			t.Fatalf("%+v: map changed to %v", d, bm)
+		}
+	}
+}
+
+// TestBMKernelsZeroAlloc: with K-wide storage in the caller's hands,
+// diff, keyframe and apply allocate nothing — the per-partner,
+// per-period cost of the live BM loop and of every delta received.
+func TestBMKernelsZeroAlloc(t *testing.T) {
+	r := xrand.New(11)
+	const k = 16
+	prev, cur := randomBM(r, k), randomBM(r, k)
+	cur.Subscribed[3] = !prev.Subscribed[3] // the bitmap travels too
+	lanes, sub := make([]int64, 0, k), make([]bool, 0, k)
+	rx := buffer.NewBufferMap(k)
+	var d BMDelta
+	cases := map[string]func(){
+		"DiffBMInto": func() { d, _ = DiffBMInto(lanes, sub, prev, cur, 1) },
+		"KeyBMInto":  func() { d, _ = KeyBMInto(lanes, sub, cur, 1) },
+		"ApplyBMDeltaInto keyframe": func() {
+			d, _ = KeyBMInto(lanes, sub, cur, 1)
+			if err := ApplyBMDeltaInto(&rx, d); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"ApplyBMDeltaInto relative": func() {
+			d, _ = DiffBMInto(lanes, sub, prev, cur, 1)
+			if err := ApplyBMDeltaInto(&rx, d); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, fn := range cases {
+		if allocs := testing.AllocsPerRun(100, fn); allocs > 0 {
+			t.Errorf("%s allocates %.1f/op with caller-owned storage", name, allocs)
+		}
+	}
+	if d.K() != k {
+		t.Fatalf("kernel produced %d lanes", d.K())
 	}
 }

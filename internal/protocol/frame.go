@@ -17,6 +17,11 @@ const MaxFrameBytes = 1<<24 + 64
 // frameHeaderLen is the u32 length prefix.
 const frameHeaderLen = 4
 
+// BlockPushOverhead is what a block-push frame adds to its payload:
+// the length prefix, type, From and To, then sub-stream, sequence and
+// payload length — so a frame's exact size is known before encoding.
+const BlockPushOverhead = frameHeaderLen + 1 + 4 + 4 + 2 + 8 + 4
+
 // AppendFrame appends one length-prefixed frame (header + encoded
 // message) to dst and returns the extended slice. The result is ready
 // for a single Write call.
@@ -80,7 +85,15 @@ type FrameReader struct {
 	br      *bufio.Reader
 	max     uint32
 	scratch []byte
+	// spare holds the slices of the fields the last decoded type does
+	// not carry, so a stream that interleaves block pushes, deltas and
+	// acks decodes without allocating.
+	spare spares
 }
+
+// maxReadBuffer caps the read buffer; a reader bounded below it needs
+// no more buffer than one frame of its bound.
+const maxReadBuffer = 64 * 1024
 
 // NewFrameReader buffers r with the absolute frame limit.
 func NewFrameReader(r io.Reader) *FrameReader {
@@ -98,12 +111,16 @@ func NewFrameReaderLimit(r io.Reader, max int) *FrameReader {
 	if max > MaxFrameBytes {
 		max = MaxFrameBytes
 	}
-	return &FrameReader{br: bufio.NewReaderSize(r, 64*1024), max: uint32(max)}
+	return &FrameReader{br: bufio.NewReaderSize(r, min(max, maxReadBuffer)), max: uint32(max)}
 }
 
-// ReadInto decodes the next frame into *m, reusing m's slices and the
-// reader's scratch buffer: steady-state reads are allocation-free.
-// The decoded message owns its data (nothing aliases the scratch).
+// ReadInto decodes the next frame into *m. It takes over the slices *m
+// arrives with: those the decoded type carries are reused, the others
+// are kept in the reader for a later frame, so one long-lived Message
+// reads any mix of the hot types without allocating once each slice
+// has reached its size. The decoded message is field for field what
+// DecodeMessage yields and owns its data: nothing in it aliases the
+// scratch buffer or storage the reader still holds.
 func (fr *FrameReader) ReadInto(m *Message) error {
 	// Peek+Discard instead of ReadFull into a local array: the array
 	// would escape through the io.Reader interface and cost one tiny
@@ -130,11 +147,11 @@ func (fr *FrameReader) ReadInto(m *Message) error {
 	if _, err := io.ReadFull(fr.br, data); err != nil {
 		return fmt.Errorf("protocol: truncated frame: %w", err)
 	}
-	return DecodeMessage(data, m)
+	return fr.spare.decode(data, m)
 }
 
-// Read returns the next message. It shares ReadInto's frame limit but
-// returns a freshly-allocated message each call.
+// Read returns the next message. It shares ReadInto's frame limit; the
+// message is the caller's to keep.
 func (fr *FrameReader) Read() (Message, error) {
 	var m Message
 	err := fr.ReadInto(&m)
